@@ -6,6 +6,18 @@ always produce identical contexts.  Elements of the top field are tuples
 of n F_q element codes in the power basis of v; they are immutable value
 objects with overloaded ring operators.
 
+Products in F_{q^n} are one exact F_p kernel.  An element is written as a
+digit array over F_p: the e base-p digits of its coefficient at v^i sit at
+positions i(2e-1) .. i(2e-1)+e-1, so the array is a polynomial in one
+variable t with u = t and v = t^(2e-1).  A product of two such arrays
+(np.convolve) has u-degree at most 2e-2 in every v-slot, so no slot spills
+into the next; after reducing mod p, one precomputed F_p matrix (the fold)
+maps every monomial u^j v^i, j < 2e-1, i < 2n-1, to the digits of its
+reduction mod h1 and h2.  The kernel runs in int64 when no dot product of
+the fold can reach 2^63, that is (2n-1)(2e-1)(p-1)^2 < 2^63, and in
+Python-int object arrays (operands and fold alike) otherwise.  Powering
+encodes once and runs the whole square-and-multiply chain on digit arrays.
+
 Subfields F_{q^m} for m | n are never built as separate structures:
 membership is the fixed point test a^(q^m) = a, and the relative trace
 projects onto them.
@@ -69,7 +81,8 @@ class FFElement:
 
     def __mul__(self, other) -> "FFElement":
         other = self._lift(other)
-        return FFElement(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
+        ctx = self.ctx
+        return ctx._decode(ctx._mul_digits(ctx._encode(self.coeffs), ctx._encode(other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -87,14 +100,16 @@ class FFElement:
     def __pow__(self, k: int) -> "FFElement":
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.ctx.one()
-        base = self
+        ctx = self.ctx
+        result = None
+        base = ctx._encode(self.coeffs)
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else ctx._mul_digits(result, base)
             k >>= 1
-        return result
+            if k:
+                base = ctx._mul_digits(base, base)
+        return ctx.one() if result is None else ctx._decode(result)
 
     def __eq__(self, other) -> bool:
         return (
@@ -141,14 +156,14 @@ class FieldContext:
             if top_modulus.fq != self.fq or top_modulus.degree != n or not top_modulus.is_monic():
                 raise ValueError("top modulus must be monic of degree n over F_q")
         self.top_modulus = top_modulus
-        self._vpow = self._reduction_table()
+        self._build_kernel()
         self._lock = threading.RLock()  # reentrant: lazy fills call each other
         self._qn_minus_1: FactoredInt | None = None
         self._xn_minus_1: FactoredPoly | None = None
         self._frob_images: list[tuple[int, ...]] | None = None
         self._scan = None  # whole-field scan state, owned by fieldscan
+        self._cofactors = None  # (x^n - 1)/P per factor P, owned by normality
         self.flat_dim = self.e * self.n
-        self._ppow = self.p ** np.arange(self.flat_dim, dtype=np.int64)
         self._frob_mat: np.ndarray | None = None
         self._const_mats: dict[int, np.ndarray] = {}
 
@@ -165,39 +180,46 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext(q={self.q}, n={self.n})"
 
-    def _reduction_table(self) -> list[tuple[int, ...]]:
-        # v^(n+j) mod h2 for j = 0 .. n-2, as coefficient tuples
-        fq, n = self.fq, self.n
-        if n == 1:
-            return []
-        neg_low = [fq.neg(c) for c in self.top_modulus.coeffs[:-1]]
-        rows = [tuple(neg_low)]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                shifted = [fq.add(c, fq.mul(top, nl)) for c, nl in zip(shifted, neg_low)]
-            rows.append(tuple(shifted))
-        return rows
+    # -- the product kernel (see the module docstring) -----------------------
 
-    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        fq, n = self.fq, self.n
-        if n == 1:
-            return (fq.mul(a[0], b[0]),)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
-        out = prod[:n]
-        for d in range(n, 2 * n - 1):
-            c = prod[d]
-            if c:
-                row = self._vpow[d - n]
-                out = [fq.add(x, fq.mul(c, r)) for x, r in zip(out, row)]
-        return tuple(out)
+    def _build_kernel(self) -> None:
+        p, e, n, fq = self.p, self.e, self.n, self.fq
+        s = 2 * e - 1  # stride of one v-slot
+        self._kwidth = (n - 1) * s + e
+        self._kdtype = np.int64 if (2 * n - 1) * s * (p - 1) ** 2 < 2**63 else object
+        self._code_pow = np.array(
+            [p**j for j in range(e)], dtype=np.int64 if self.q < 2**63 else object
+        )
+        upow = [fq.pow(p, j) for j in range(s)] if e > 1 else [1]  # u^j mod h1
+        neg_low = [fq.neg(c) for c in self.top_modulus.coeffs[:-1]]
+        fold = np.zeros(((2 * n - 1) * s, self._kwidth), dtype=self._kdtype)
+        vpow = [1] + [0] * (n - 1)  # v^i mod h2
+        for i in range(2 * n - 1):
+            for j, uj in enumerate(upow):
+                for k, c in enumerate(vpow):
+                    if c:
+                        fold[i * s + j, k * s : k * s + e] = fq.digits(fq.mul(uj, c))
+            top = vpow[-1]
+            vpow = [0] + vpow[:-1]
+            if top:
+                vpow = [fq.add(c, fq.mul(top, nl)) for c, nl in zip(vpow, neg_low)]
+        self._fold = fold
+
+    def _encode(self, coeffs: tuple[int, ...]) -> np.ndarray:
+        e = self.e
+        slots = np.zeros((self.n, 2 * e - 1), dtype=self._kdtype)
+        slots[:, :e] = self._code_digits(coeffs)
+        return slots.reshape(-1)[: self._kwidth]
+
+    def _decode(self, digits: np.ndarray) -> FFElement:
+        e = self.e
+        slots = np.zeros(self.n * (2 * e - 1), dtype=self._kdtype)
+        slots[: self._kwidth] = digits
+        codes = slots.reshape(self.n, 2 * e - 1)[:, :e] @ self._code_pow
+        return FFElement(self, tuple(codes.tolist()))
+
+    def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (np.convolve(a, b) % self.p) @ self._fold % self.p
 
     # -- element construction ----------------------------------------------
 
@@ -294,18 +316,28 @@ class FieldContext:
     # -- flat F_p-linear views -------------------------------------------
     # The q-power map, multiplication by a fixed element and every L_f are
     # F_p-linear, so they act on the e*n base-p digit vector of an element
-    # (which is exactly the digit vector of its enumeration index) as small
-    # integer matrices mod p.  Row convention: apply as row @ matrix.
+    # (coefficient i's digit j at position i*e + j, which is also the digit
+    # vector of its enumeration index) as small integer matrices mod p.
+    # Row convention: apply as row @ matrix.
+
+    def _code_digits(self, coeffs: tuple[int, ...]) -> np.ndarray:
+        # (n, e) base-p digits of the n F_q codes
+        return np.array(coeffs, dtype=self._code_pow.dtype)[:, None] // self._code_pow % self.p
 
     def flat_digits(self, a: FFElement) -> np.ndarray:
-        return (self.index(a) // self._ppow) % self.p
+        return self._code_digits(a.coeffs).reshape(-1).astype(np.int64)
 
     def element_from_flat(self, row: np.ndarray) -> FFElement:
-        return self.from_index(int(row @ self._ppow))
+        return FFElement(self, tuple((row.reshape(self.n, self.e) @ self._code_pow).tolist()))
 
     def linear_matrix(self, fn) -> np.ndarray:
-        rows = [self.flat_digits(fn(self.from_index(int(pw)))) for pw in self._ppow]
-        return np.array(rows, dtype=np.int64)
+        n, p = self.n, self.p
+        basis = [
+            FFElement(self, (0,) * i + (p**j,) + (0,) * (n - 1 - i))
+            for i in range(n)
+            for j in range(self.e)
+        ]
+        return np.array([self.flat_digits(fn(b)) for b in basis], dtype=np.int64)
 
     def frobenius_matrix(self) -> np.ndarray:
         with self._lock:

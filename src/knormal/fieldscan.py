@@ -5,8 +5,10 @@ e*n base-p digits, and the flat digit vector of an element is exactly the
 base-p digit vector of its enumeration index.  The maps this package scans
 with (x -> x^(q^i), multiplication by a fixed element, any L_f) are all
 F_p-linear, so applying one to every element at once is an integer matrix
-product mod p on row chunks.  No floating point is involved anywhere; a
-chunk fits comfortably in int16 since row sums stay below p^2 * e * n.
+product mod p on row chunks.  No floating point is involved anywhere.  A
+row-matrix product sums e*n terms below p, so it stays below
+(p-1)^2 * e * n; chunks use the narrowest of int16, int32 and int64 that
+holds that bound (int16 up to p = 127 when n = 2, for instance).
 
 A FieldScan computes, for every element of a field within the enumeration
 cap:
@@ -34,8 +36,13 @@ from .polyring import FqPoly
 _CHUNK = 1 << 15
 
 
-def _digit_rows(indices: np.ndarray, ppow: np.ndarray, p: int) -> np.ndarray:
-    return ((indices[:, None] // ppow[None, :]) % p).astype(np.int16)
+def _chunk_dtype(p: int, en: int) -> type:
+    bound = (p - 1) ** 2 * en
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+
+
+def _digit_rows(indices: np.ndarray, ppow: np.ndarray, p: int, dtype: type) -> np.ndarray:
+    return ((indices[:, None] // ppow[None, :]) % p).astype(dtype)
 
 
 class FieldScan:
@@ -50,14 +57,15 @@ class FieldScan:
         self.p = ctx.p
         self.en = ctx.flat_dim
         self.size = ctx.order
-        self.ppow = ctx._ppow
-        self.frob_matrix = ctx.frobenius_matrix().astype(np.int16)
+        self.ppow = self.p ** np.arange(self.en, dtype=np.int64)  # index = digits @ ppow
+        self.dtype = _chunk_dtype(self.p, self.en)
+        self.frob_matrix = ctx.frobenius_matrix().astype(self.dtype)
         self._build_order_codes(threads)
         self._build_logs()
 
     def matrix_of_associate(self, f: FqPoly) -> np.ndarray:
         """Matrix of a -> L_f(a), in the chunk-product dtype."""
-        return self.ctx.associate_matrix(f).astype(np.int16)
+        return self.ctx.associate_matrix(f).astype(self.dtype)
 
     # -- order codes ---------------------------------------------------------
 
@@ -87,7 +95,7 @@ class FieldScan:
 
         def run_chunk(lo: int) -> None:
             hi = min(lo + _CHUNK, self.size)
-            rows = _digit_rows(np.arange(lo, hi, dtype=np.int64), self.ppow, self.p)
+            rows = _digit_rows(np.arange(lo, hi, dtype=np.int64), self.ppow, self.p, self.dtype)
             for pos, mat in tests:
                 vanish = ((rows @ mat) % self.p == 0).all(axis=1)
                 vanish_counts[pos, lo:hi] += vanish

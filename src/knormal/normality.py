@@ -64,6 +64,15 @@ def q_associate(ctx: FieldContext, f: FqPoly, a: FFElement) -> FFElement:
     return ctx.element_from_flat(acc % ctx.p)
 
 
+def _cofactors(ctx: FieldContext) -> list[FqPoly]:
+    # (x^n - 1)/P for each irreducible factor P of x^n - 1, in factor order
+    with ctx._lock:
+        if ctx._cofactors is None:
+            full = FqPoly.x_pow_minus_one(ctx.fq, ctx.n)
+            ctx._cofactors = [full // P for P, _ in ctx.xn_minus_1().factors]
+        return ctx._cofactors
+
+
 def fq_order(
     ctx: FieldContext,
     a: FFElement,
@@ -76,28 +85,29 @@ def fq_order(
     total; a caller may pass the factorization of x^m - 1 for an element
     known to lie in F_{q^m}.
     """
-    ann = annihilator if annihilator is not None else ctx.xn_minus_1()
-    g = ann.product()
+    if annihilator is None:
+        ann, cofactors = ctx.xn_minus_1(), _cofactors(ctx)
+        order = FqPoly.x_pow_minus_one(ctx.fq, ctx.n)
+    else:
+        ann, order = annihilator, annihilator.product()
+        cofactors = [order // P for P, _ in ann.factors]
     rows = _conjugate_rows(ctx, a)
-    for P, _ in ann.factors:
-        while True:
-            quot, rem = divmod(g, P)
-            if rem:
+    for (P, m), cof in zip(ann.factors, cofactors):
+        # the exponent of P in the order is m minus the number of c >= 1
+        # with L_{ann/P^c}(a) = 0, and those c form an initial run
+        for c in range(m):
+            if c:
+                cof = cof // P
+            if not _associate_vanishes(ctx, cof, rows):
                 break
-            if not _associate_vanishes(ctx, quot, rows):
-                break
-            g = quot
-    return g
+            order = order // P
+    return order
 
 
 def is_normal(ctx: FieldContext, a: FFElement) -> bool:
     """Whether the conjugates of a span everything (order = x^n - 1)."""
-    fp = ctx.xn_minus_1()
-    full = fp.product()
     rows = _conjugate_rows(ctx, a)
-    return not any(
-        _associate_vanishes(ctx, full // P, rows) for P, _ in fp.factors
-    )
+    return not any(_associate_vanishes(ctx, cof, rows) for cof in _cofactors(ctx))
 
 
 def normality_index(ctx: FieldContext, a: FFElement) -> int:
@@ -341,7 +351,7 @@ def brute_census(
     _factor_exponents(ctx, f)  # validates divisibility
     mat = scan.matrix_of_associate(f)
     normal_idx = np.nonzero(scan.order_degree == n)[0]
-    rows = _digit_rows(normal_idx.astype(np.int64), scan.ppow, scan.p)
+    rows = _digit_rows(normal_idx.astype(np.int64), scan.ppow, scan.p, scan.dtype)
     images = (((rows @ mat) % scan.p).astype(np.int64)) @ scan.ppow
     prim_img = scan.is_primitive_mask[images]
     nf = int(prim_img.sum())

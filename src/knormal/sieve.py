@@ -20,14 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
 import numpy as np
 
 from .errors import BudgetError
 from .ff import FieldContext
 from .intfactor import FactorCache, FactoredInt, factor_integer
 from .polyring import degree_set, euler_phi_poly
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 def squarefree_divisor_count_int(m: FactoredInt) -> int:
@@ -149,6 +152,8 @@ _BOUND_EXPONENT_NUM = "1.5379"  # times log 2, in the divisor-count bound
 
 
 def _iv_ctx(digits: int):
+    import mpmath  # imported here: only the certified bounds need it
+
     iv = mpmath.iv
     iv.dps = digits
     return iv
@@ -229,6 +234,8 @@ class HMargin:
     indeterminate: bool
 
     def to_text(self) -> str:
+        import mpmath
+
         return (
             f"h q={self.q} n={self.n}\n"
             f"enclosure = [{mpmath.nstr(self.lo, 25)}, {mpmath.nstr(self.hi, 25)}]\n"
@@ -247,6 +254,8 @@ def h_margin(q: int, n: int, digits: int = 65) -> HMargin:
     """
     if q**n < 16:
         raise ValueError("need q^n >= 16 so that log log (q^n - 1) is positive")
+    import mpmath
+
     iv = _iv_ctx(digits)
     big = q**n - 1  # exact; interval conversion rounds outward
     h = (

@@ -64,7 +64,7 @@ def _trace_matrix(scan, ps: int, terms: int) -> np.ndarray:
     for _ in range(terms):
         total = (total + step) % scan.p
         step = step @ m_ps % scan.p
-    return total.astype(np.int16)
+    return total.astype(scan.dtype)
 
 
 def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> bool:
@@ -88,7 +88,7 @@ def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> 
     chunk = 1 << 15
     for lo in range(0, scan.size, chunk):
         idx = np.arange(lo, min(lo + chunk, scan.size), dtype=np.int64)
-        rows = _digit_rows(idx, scan.ppow, scan.p)
+        rows = _digit_rows(idx, scan.ppow, scan.p, scan.dtype)
         images = (((rows @ tmat) % scan.p).astype(np.int64)) @ scan.ppow
         for b in np.unique(images):
             if int(b) not in beta_cache:

@@ -35,6 +35,21 @@ def test_order_command(capsys):
     assert "k = 0" in out
 
 
+def test_order_command_above_int64_indices(capsys):
+    element = ",".join(["0", "1"] + ["0"] * 62)
+    code, out, err = run(capsys, ["order", "--q", "2", "--n", "64", "--element", element])
+    assert code == 0, err
+    assert "k = 0" in out
+
+
+def test_count_census_large_characteristic(capsys):
+    code, out, _ = run(capsys, ["count", "--q", "401", "--n", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "0 160000 160000" in lines
+    assert "1 800 800" in lines and "2 1 1" in lines
+
+
 def test_sieve_csv(capsys):
     code, out, _ = run(capsys, ["sieve", "--q", "5", "--n", "7", "--k", "1", "--csv"])
     assert code == 0

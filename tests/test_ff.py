@@ -14,7 +14,7 @@ from knormal.ff import (
     multiplicative_order,
     trace_to_subfield,
 )
-from knormal.polyring import FqPoly, format_poly, is_irreducible
+from knormal.polyring import FqPoly, format_poly, is_irreducible, powmod
 
 from oracles import slow_multiplicative_order
 
@@ -65,6 +65,49 @@ def test_field_axioms_random_triples(p, e, n):
         assert a + (-a) == ctx.zero()
         if not a.is_zero():
             assert a * a.inverse() == ctx.one()
+
+
+# prime q, prime-power q, n = 1, and p large enough that the kernel runs on
+# Python ints: (2^61 - 1, 1, 3), (4294967291, 1, 2) and (2^31 - 1, 2, 1)
+@pytest.mark.parametrize(
+    "p,e,n",
+    [
+        (2, 1, 1), (2, 1, 24), (101, 1, 4), (5, 1, 1),
+        (2, 3, 8), (3, 2, 5), (7, 3, 1), (257, 2, 3),
+        (2**61 - 1, 1, 3), (4294967291, 1, 2), (2**31 - 1, 2, 1),
+    ],
+)
+def test_products_and_powers_match_polynomial_oracle(p, e, n):
+    ctx = build_field(p, e, n)
+    fq, h = ctx.fq, ctx.top_modulus
+    rng = random.Random(p * 1000 + e * 10 + n)
+    for _ in range(20):
+        a, b = ctx.random_element(rng), ctx.random_element(rng)
+        want = (FqPoly(fq, a.coeffs) * FqPoly(fq, b.coeffs)) % h
+        assert FqPoly(fq, (a * b).coeffs) == want
+        k = rng.randrange(ctx.order)
+        assert FqPoly(fq, (a**k).coeffs) == powmod(FqPoly(fq, a.coeffs), k, h)
+    assert ctx.gen() ** 0 == ctx.one()
+
+
+def test_powering_makes_no_per_coefficient_calls(monkeypatch):
+    ctx = build_field(2, 1, 24)
+    a = ctx.random_element(random.Random(3))
+    calls = 0
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("add", "mul"):
+        monkeypatch.setattr(FqField, name, counted(getattr(FqField, name)))
+    a ** (ctx.order - 2)
+    # a coefficient loop makes about n^2 calls per product, 2 log2(k) products
+    assert calls <= ctx.n
 
 
 def test_index_roundtrip():

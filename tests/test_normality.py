@@ -81,6 +81,12 @@ def test_order_of_zero_and_one():
     assert normality_index(CTX57, CTX57.one()) == 6
 
 
+def test_order_of_one_above_int64_indices():
+    ctx = build_field(2, 1, 64)  # q^n = 2^64: enumeration indices overflow int64
+    assert normality_index(ctx, ctx.one()) == ctx.n - 1
+    assert normality_index(ctx, ctx.zero()) == ctx.n
+
+
 def test_order_in_f4():
     u = CTX4.gen()
     assert fq_order(CTX4, u) == FqPoly(CTX4.fq, (1, 0, 1))  # x^2 + 1 = (x+1)^2
@@ -285,6 +291,16 @@ def test_census_partitions_and_normal_count():
         assert rec.counts[0] == phi_of_divisor(ctx, x_pow_minus_one(ctx))
         assert rec.counts == tuple(count_k_normals(ctx, k) for k in range(ctx.n + 1))
         clear_scan(ctx)
+
+
+@pytest.mark.parametrize("p", [257, 401])
+def test_census_large_characteristic(p):
+    # (p-1)^2 * e * n passes 2^15 here, so the scan must not run in int16
+    ctx = build_field(p, 1, 2)
+    rec = brute_census(ctx)
+    assert rec.counts == tuple(count_k_normals(ctx, k) for k in range(ctx.n + 1))
+    assert sum(rec.primitive_counts) == ctx.qn_minus_1().phi()
+    clear_scan(ctx)
 
 
 def test_census_primitive_counts():

@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import knormal
 from knormal.errors import BudgetError
 from knormal.ff import build_field
 from knormal.intfactor import factor_integer
@@ -116,6 +120,15 @@ def test_h_margin_420():
     assert hm.lo > 0.25  # the interval floor certifies the strict bound
     assert hm.hi - hm.lo < mpmath.mpf("1e-50")
     assert hm.k_max == 105
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = str(Path(knormal.__file__).resolve().parents[1])
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import knormal; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_h_margin_small_field_clamps():
