@@ -13,14 +13,35 @@ variable t with u = t and v = t^(2e-1).  A product of two such arrays
 (np.convolve) has u-degree at most 2e-2 in every v-slot, so no slot spills
 into the next; after reducing mod p, one precomputed F_p matrix (the fold)
 maps every monomial u^j v^i, j < 2e-1, i < 2n-1, to the digits of its
-reduction mod h1 and h2.  The kernel runs in int64 when no dot product of
-the fold can reach 2^63, that is (2n-1)(2e-1)(p-1)^2 < 2^63, and in
-Python-int object arrays (operands and fold alike) otherwise.  Powering
-encodes once and runs the whole square-and-multiply chain on digit arrays.
+reduction mod h1 and h2.  Powering encodes once and runs the whole
+square-and-multiply chain on digit arrays.
 
+Every other map this package applies to F_{q^n} is F_p-linear: the q-power
+map, multiplication by an F_q scalar, and above all the q-associate
+
+    L_f(a) = sum f_i a^(q^i),
+
+of which a^(q^i) (f = x^i) and the relative trace onto F_{q^m}
+(f = sum_j x^(mj)) are special cases.  They act on the flat view of an
+element, its e*n base-p digits (coefficient i's digit j at position
+i*e + j), as integer matrices mod p, row @ matrix.  FieldContext holds the
+one layer that builds those matrices (linear_matrix, frobenius_matrix,
+const_matrix, associate_matrix) and the one L_f accumulation
+(apply_associate); f is reduced mod x^n - 1 first, since a^(q^n) = a.
 Subfields F_{q^m} for m | n are never built as separate structures:
-membership is the fixed point test a^(q^m) = a, and the relative trace
-projects onto them.
+membership is the fixed point test a^(q^m) = a.
+
+One rule picks every integer width: exact_dtype(bound) is the narrowest
+of int16, int32 and int64 that holds the largest value a computation can
+reach before its reduction mod p, and Python-int object arrays above
+2^63 - 1, so nothing wraps.  The bounds, all from entries below p:
+
+  * the product kernel: a fold dot product sums (2n-1)(2e-1) products,
+    bound (2n-1)(2e-1)(p-1)^2;
+  * the flat views: a row @ matrix sums e*n products, and L_f adds at most
+    n of them, bound n * e*n * (p-1)^2;
+  * whole-field scan chunks (fieldscan): one row @ matrix, bound
+    e*n*(p-1)^2.
 
 Everything here is exact integer arithmetic; the context's lazy caches
 (factorization of q^n - 1 and of x^n - 1) are write-once under a lock, so
@@ -38,10 +59,18 @@ import numpy as np
 from .basefield import FqField
 from .errors import BudgetError
 from .intfactor import FactorCache, FactoredInt, factor_integer, is_prime
-from .polyring import FactoredPoly, FqPoly, least_irreducible, powmod
+from .polyring import FactoredPoly, FqPoly, least_irreducible
 
 # Exhaustive scans over a whole field refuse to run above this many elements.
 ENUMERATION_CAP = 1_000_000
+
+
+def exact_dtype(bound: int):
+    """The narrowest of int16, int32 and int64 that holds 0..bound, else object."""
+    for t in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return t
+    return object
 
 
 class FFElement:
@@ -160,10 +189,10 @@ class FieldContext:
         self._lock = threading.RLock()  # reentrant: lazy fills call each other
         self._qn_minus_1: FactoredInt | None = None
         self._xn_minus_1: FactoredPoly | None = None
-        self._frob_images: list[tuple[int, ...]] | None = None
         self._scan = None  # whole-field scan state, owned by fieldscan
         self._cofactors = None  # (x^n - 1)/P per factor P, owned by normality
         self.flat_dim = self.e * self.n
+        self._flat_dtype = exact_dtype(self.n * self.flat_dim * (self.p - 1) ** 2)
         self._frob_mat: np.ndarray | None = None
         self._const_mats: dict[int, np.ndarray] = {}
 
@@ -186,10 +215,8 @@ class FieldContext:
         p, e, n, fq = self.p, self.e, self.n, self.fq
         s = 2 * e - 1  # stride of one v-slot
         self._kwidth = (n - 1) * s + e
-        self._kdtype = np.int64 if (2 * n - 1) * s * (p - 1) ** 2 < 2**63 else object
-        self._code_pow = np.array(
-            [p**j for j in range(e)], dtype=np.int64 if self.q < 2**63 else object
-        )
+        self._kdtype = exact_dtype((2 * n - 1) * s * (p - 1) ** 2)
+        self._code_pow = np.array([p**j for j in range(e)], dtype=exact_dtype(self.q - 1))
         upow = [fq.pow(p, j) for j in range(s)] if e > 1 else [1]  # u^j mod h1
         neg_low = [fq.neg(c) for c in self.top_modulus.coeffs[:-1]]
         fold = np.zeros(((2 * n - 1) * s, self._kwidth), dtype=self._kdtype)
@@ -301,48 +328,33 @@ class FieldContext:
                 self._xn_minus_1 = cyclotomic.factor_xm_minus_1(self.fq, self.n)
             return self._xn_minus_1
 
-    def frob_images(self) -> list[tuple[int, ...]]:
-        # (v^j)^q for j = 0 .. n-1; makes the q-power map a linear lookup
-        with self._lock:
-            if self._frob_images is None:
-                vq = powmod(FqPoly.x(self.fq), self.q, self.top_modulus)
-                w = FFElement(self, tuple(vq.coeffs) + (0,) * (self.n - len(vq.coeffs)))
-                images = [self.one()]
-                for _ in range(self.n - 1):
-                    images.append(images[-1] * w)
-                self._frob_images = [im.coeffs for im in images]
-            return self._frob_images
-
-    # -- flat F_p-linear views -------------------------------------------
-    # The q-power map, multiplication by a fixed element and every L_f are
-    # F_p-linear, so they act on the e*n base-p digit vector of an element
-    # (coefficient i's digit j at position i*e + j, which is also the digit
-    # vector of its enumeration index) as small integer matrices mod p.
-    # Row convention: apply as row @ matrix.
+    # -- the F_p-linear layer (see the module docstring) ---------------------
+    # Row convention: apply as row @ matrix; every array is in _flat_dtype.
 
     def _code_digits(self, coeffs: tuple[int, ...]) -> np.ndarray:
         # (n, e) base-p digits of the n F_q codes
         return np.array(coeffs, dtype=self._code_pow.dtype)[:, None] // self._code_pow % self.p
 
     def flat_digits(self, a: FFElement) -> np.ndarray:
-        return self._code_digits(a.coeffs).reshape(-1).astype(np.int64)
+        return self._code_digits(a.coeffs).reshape(-1).astype(self._flat_dtype)
 
     def element_from_flat(self, row: np.ndarray) -> FFElement:
         return FFElement(self, tuple((row.reshape(self.n, self.e) @ self._code_pow).tolist()))
 
     def linear_matrix(self, fn) -> np.ndarray:
+        """Matrix of an F_p-linear map fn on the flat basis."""
         n, p = self.n, self.p
         basis = [
             FFElement(self, (0,) * i + (p**j,) + (0,) * (n - 1 - i))
             for i in range(n)
             for j in range(self.e)
         ]
-        return np.array([self.flat_digits(fn(b)) for b in basis], dtype=np.int64)
+        return np.stack([self.flat_digits(fn(b)) for b in basis])
 
     def frobenius_matrix(self) -> np.ndarray:
         with self._lock:
             if self._frob_mat is None:
-                self._frob_mat = self.linear_matrix(lambda a: frobenius(self, a, 1))
+                self._frob_mat = self.linear_matrix(lambda a: a**self.q)
             return self._frob_mat
 
     def const_matrix(self, c: int) -> np.ndarray:
@@ -352,18 +364,34 @@ class FieldContext:
                 self._const_mats[c] = self.linear_matrix(lambda a: a.scale(c))
             return self._const_mats[c]
 
+    def conjugates(self, x: np.ndarray, count: int | None = None) -> list[np.ndarray]:
+        """x F^i for i < count (default n), F the Frobenius matrix: the flat
+        digits of a^(q^i) for the row a (or every row a) of x."""
+        m = self.frobenius_matrix()
+        out = [x]
+        for _ in range(1, self.n if count is None else count):
+            out.append(out[-1] @ m % self.p)
+        return out
+
+    def apply_associate(self, f: FqPoly, conj: list[np.ndarray]) -> np.ndarray:
+        """L_f on flat rows, given their conjugates (conj[i] = x F^i)."""
+        n, coeffs = self.n, f.coeffs
+        reduced = list(coeffs[:n])  # f mod x^n - 1
+        for i in range(n, len(coeffs)):
+            reduced[i % n] = self.fq.add(reduced[i % n], coeffs[i])
+        acc = np.zeros_like(conj[0])
+        for i, c in enumerate(reduced):
+            if c:
+                acc += conj[i] @ self.const_matrix(c)
+        return acc % self.p
+
+    def associate(self, f: FqPoly, x: np.ndarray) -> np.ndarray:
+        """L_f on the flat row (or every row) x."""
+        return self.apply_associate(f, self.conjugates(x, min(self.n, len(f.coeffs))))
+
     def associate_matrix(self, f: FqPoly) -> np.ndarray:
         """Matrix of a -> L_f(a) = sum f_i a^(q^i) on the flat basis."""
-        dim = self.flat_dim
-        out = np.zeros((dim, dim), dtype=np.int64)
-        frob_i = np.eye(dim, dtype=np.int64)
-        m = self.frobenius_matrix()
-        for i, c in enumerate(f.coeffs):
-            if c:
-                out = (out + frob_i @ self.const_matrix(c)) % self.p
-            if i < len(f.coeffs) - 1:
-                frob_i = frob_i @ m % self.p
-        return out
+        return self.associate(f, np.eye(self.flat_dim, dtype=self._flat_dtype))
 
 
 def _poly_invert(f: FqPoly, mod: FqPoly) -> tuple[FqPoly, FqPoly]:
@@ -397,34 +425,28 @@ def field_with_modulus(p: int, e: int, n: int, top_modulus: FqPoly) -> FieldCont
     return FieldContext(p, e, n, top_modulus=top_modulus)
 
 
-def frobenius(ctx: FieldContext, a: FFElement, i: int = 1) -> FFElement:
-    """a^(q^i); the identity at i = 0, with i reduced mod n."""
+def q_associate(ctx: FieldContext, f: FqPoly, a: FFElement) -> FFElement:
+    """L_f(a), the q-associate of f evaluated at a."""
     if a.ctx != ctx:
         raise ValueError("element from a different context")
-    i %= ctx.n
-    fq = ctx.fq
-    coeffs = a.coeffs
-    for _ in range(i):
-        images = ctx.frob_images()
-        acc = [0] * ctx.n
-        for j, c in enumerate(coeffs):
-            if c:
-                row = images[j]
-                acc = [fq.add(x, fq.mul(c, r)) for x, r in zip(acc, row)]
-        coeffs = tuple(acc)
-    return FFElement(ctx, coeffs)
+    return ctx.element_from_flat(ctx.associate(f, ctx.flat_digits(a)))
+
+
+def frobenius(ctx: FieldContext, a: FFElement, i: int = 1) -> FFElement:
+    """a^(q^i) = L_{x^i}(a); the identity at i = 0, with i reduced mod n."""
+    return q_associate(ctx, FqPoly.monomial(ctx.fq, i % ctx.n), a)
 
 
 def trace_to_subfield(ctx: FieldContext, a: FFElement, m: int) -> FFElement:
     """Relative trace onto F_{q^m}: sum of a^(q^(m*i)) over i = 0..n/m - 1."""
     if ctx.n % m != 0:
         raise ValueError(f"{m} does not divide {ctx.n}")
-    acc = a
-    b = a
-    for _ in range(ctx.n // m - 1):
-        b = frobenius(ctx, b, m)
-        acc = acc + b
-    return acc
+    return q_associate(ctx, trace_poly(ctx.fq, ctx.n, m), a)
+
+
+def trace_poly(fq: FqField, n: int, m: int) -> FqPoly:
+    """sum_j x^(mj) over j < n/m, whose q-associate is the trace onto F_{q^m}."""
+    return FqPoly(fq, [int(i % m == 0) for i in range(n - m + 1)])
 
 
 def in_subfield(ctx: FieldContext, a: FFElement, m: int) -> bool:

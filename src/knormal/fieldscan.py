@@ -5,10 +5,9 @@ e*n base-p digits, and the flat digit vector of an element is exactly the
 base-p digit vector of its enumeration index.  The maps this package scans
 with (x -> x^(q^i), multiplication by a fixed element, any L_f) are all
 F_p-linear, so applying one to every element at once is an integer matrix
-product mod p on row chunks.  No floating point is involved anywhere.  A
-row-matrix product sums e*n terms below p, so it stays below
-(p-1)^2 * e * n; chunks use the narrowest of int16, int32 and int64 that
-holds that bound (int16 up to p = 127 when n = 2, for instance).
+product mod p on row chunks.  No floating point is involved anywhere.
+Chunks take their integer width from ff.exact_dtype with the bound
+e*n*(p-1)^2 of one row @ matrix product (see the ff module docstring).
 
 A FieldScan computes, for every element of a field within the enumeration
 cap:
@@ -30,19 +29,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import BudgetError, InternalCheckError
-from .ff import ENUMERATION_CAP, FieldContext, find_primitive
+from .ff import ENUMERATION_CAP, FieldContext, exact_dtype, find_primitive
 from .polyring import FqPoly
 
 _CHUNK = 1 << 15
-
-
-def _chunk_dtype(p: int, en: int) -> type:
-    bound = (p - 1) ** 2 * en
-    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
-
-
-def _digit_rows(indices: np.ndarray, ppow: np.ndarray, p: int, dtype: type) -> np.ndarray:
-    return ((indices[:, None] // ppow[None, :]) % p).astype(dtype)
 
 
 class FieldScan:
@@ -58,14 +48,21 @@ class FieldScan:
         self.en = ctx.flat_dim
         self.size = ctx.order
         self.ppow = self.p ** np.arange(self.en, dtype=np.int64)  # index = digits @ ppow
-        self.dtype = _chunk_dtype(self.p, self.en)
-        self.frob_matrix = ctx.frobenius_matrix().astype(self.dtype)
+        self.dtype = exact_dtype(self.en * (self.p - 1) ** 2)
         self._build_order_codes(threads)
         self._build_logs()
 
     def matrix_of_associate(self, f: FqPoly) -> np.ndarray:
         """Matrix of a -> L_f(a), in the chunk-product dtype."""
         return self.ctx.associate_matrix(f).astype(self.dtype)
+
+    def digit_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Flat digit rows of the elements at the given indices."""
+        return (indices[:, None] // self.ppow % self.p).astype(self.dtype)
+
+    def image_indices(self, mat: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Indices of the images of the elements at `indices` under mat."""
+        return (self.digit_rows(indices) @ mat % self.p).astype(np.int64) @ self.ppow
 
     # -- order codes ---------------------------------------------------------
 
@@ -91,11 +88,11 @@ class FieldScan:
         self.code_strides = tuple(strides)
         factor_degs = tuple(P.degree for P, _ in fp.factors)
 
-        vanish_counts = np.zeros((len(fp.factors), self.size), dtype=np.int16)
+        vanish_counts = np.zeros((len(fp.factors), self.size), dtype=exact_dtype(ctx.n))
 
         def run_chunk(lo: int) -> None:
             hi = min(lo + _CHUNK, self.size)
-            rows = _digit_rows(np.arange(lo, hi, dtype=np.int64), self.ppow, self.p, self.dtype)
+            rows = self.digit_rows(np.arange(lo, hi, dtype=np.int64))
             for pos, mat in tests:
                 vanish = ((rows @ mat) % self.p == 0).all(axis=1)
                 vanish_counts[pos, lo:hi] += vanish
@@ -109,13 +106,13 @@ class FieldScan:
                 run_chunk(lo)
 
         # monotone vanishing: exponent of P in the order is mult - #vanishing c's
-        code = np.zeros(self.size, dtype=np.int64)
-        degree = np.zeros(self.size, dtype=np.int32)
+        code = np.zeros(self.size, dtype=exact_dtype(s - 1))
+        degree = np.zeros(self.size, dtype=exact_dtype(ctx.n))
         for pos, m in enumerate(self.factor_mults):
             exp = m - vanish_counts[pos]
-            code += exp.astype(np.int64) * self.code_strides[pos]
-            degree += exp.astype(np.int32) * factor_degs[pos]
-        self.order_code = code.astype(np.int32) if code.max(initial=0) < 2**31 else code
+            code += exp.astype(code.dtype) * self.code_strides[pos]
+            degree += exp * factor_degs[pos]
+        self.order_code = code
         self.order_degree = degree
 
     def code_of_divisor(self, f: FqPoly) -> int:
@@ -145,14 +142,14 @@ class FieldScan:
         log = np.full(self.size, -1, dtype=np.int32)
         exp = np.empty(N, dtype=np.int32)
         gamma = find_primitive(ctx)
-        G = ctx.linear_matrix(lambda a: a * gamma)
+        G = ctx.linear_matrix(lambda a: a * gamma).astype(self.dtype)
         B = max(1, math.isqrt(N - 1) + 1) if N > 1 else 1
-        rows = np.empty((min(B, N), self.en), dtype=np.int64)
-        r = ctx.flat_digits(ctx.one()).astype(np.int64)
+        rows = np.empty((min(B, N), self.en), dtype=self.dtype)
+        r = ctx.flat_digits(ctx.one()).astype(self.dtype)
         for j in range(rows.shape[0]):
             rows[j] = r
             r = r @ G % self.p
-        H = np.eye(self.en, dtype=np.int64)
+        H = np.eye(self.en, dtype=self.dtype)
         step, base = G, B
         while base:
             if base & 1:
@@ -182,7 +179,7 @@ class FieldScan:
             raise ValueError("evaluation points must be nonzero")
         N = self.group_order
         loga = self.log[indices].astype(np.int64)
-        acc = np.zeros((len(indices), self.en), dtype=np.int64)
+        acc = np.zeros((len(indices), self.en), dtype=exact_dtype(len(f.coeffs) * (self.p - 1)))
         for i, c in enumerate(f.coeffs):
             if c == 0:
                 continue

@@ -24,44 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, InternalCheckError
-from .fieldscan import FieldScan, _digit_rows
-from .ff import FFElement, FieldContext
+from .fieldscan import FieldScan
+from .ff import FFElement, FieldContext, q_associate
 from .polyring import FactoredPoly, FqPoly, divisors_of_degree, format_poly
 
 FIND_NORMAL_TRIES = 4096
 PSI_DEGREE_CAP = 1 << 16
-
-
-def _conjugate_rows(ctx: FieldContext, a: FFElement) -> np.ndarray:
-    # flat digit rows of a, a^q, ..., a^(q^(n-1))
-    m = ctx.frobenius_matrix()
-    rows = np.empty((ctx.n, ctx.flat_dim), dtype=np.int64)
-    r = ctx.flat_digits(a)
-    for i in range(ctx.n):
-        rows[i] = r
-        if i < ctx.n - 1:
-            r = r @ m % ctx.p
-    return rows
-
-
-def _associate_vanishes(ctx: FieldContext, f: FqPoly, rows: np.ndarray) -> bool:
-    acc = np.zeros(ctx.flat_dim, dtype=np.int64)
-    for i, c in enumerate(f.coeffs):
-        if c:
-            acc += rows[i % ctx.n] @ ctx.const_matrix(c)
-    return not (acc % ctx.p).any()
-
-
-def q_associate(ctx: FieldContext, f: FqPoly, a: FFElement) -> FFElement:
-    """L_f(a), the q-associate of f evaluated at a."""
-    if a.ctx != ctx:
-        raise ValueError("element from a different context")
-    rows = _conjugate_rows(ctx, a)
-    acc = np.zeros(ctx.flat_dim, dtype=np.int64)
-    for i, c in enumerate(f.coeffs):
-        if c:
-            acc += rows[i % ctx.n] @ ctx.const_matrix(c)
-    return ctx.element_from_flat(acc % ctx.p)
 
 
 def _cofactors(ctx: FieldContext) -> list[FqPoly]:
@@ -91,14 +59,14 @@ def fq_order(
     else:
         ann, order = annihilator, annihilator.product()
         cofactors = [order // P for P, _ in ann.factors]
-    rows = _conjugate_rows(ctx, a)
+    conj = ctx.conjugates(ctx.flat_digits(a))
     for (P, m), cof in zip(ann.factors, cofactors):
         # the exponent of P in the order is m minus the number of c >= 1
         # with L_{ann/P^c}(a) = 0, and those c form an initial run
         for c in range(m):
             if c:
                 cof = cof // P
-            if not _associate_vanishes(ctx, cof, rows):
+            if ctx.apply_associate(cof, conj).any():
                 break
             order = order // P
     return order
@@ -106,8 +74,8 @@ def fq_order(
 
 def is_normal(ctx: FieldContext, a: FFElement) -> bool:
     """Whether the conjugates of a span everything (order = x^n - 1)."""
-    rows = _conjugate_rows(ctx, a)
-    return not any(_associate_vanishes(ctx, cof, rows) for cof in _cofactors(ctx))
+    conj = ctx.conjugates(ctx.flat_digits(a))
+    return all(ctx.apply_associate(cof, conj).any() for cof in _cofactors(ctx))
 
 
 def normality_index(ctx: FieldContext, a: FFElement) -> int:
@@ -349,10 +317,8 @@ def brute_census(
     if f is None:
         return rec
     _factor_exponents(ctx, f)  # validates divisibility
-    mat = scan.matrix_of_associate(f)
     normal_idx = np.nonzero(scan.order_degree == n)[0]
-    rows = _digit_rows(normal_idx.astype(np.int64), scan.ppow, scan.p, scan.dtype)
-    images = (((rows @ mat) % scan.p).astype(np.int64)) @ scan.ppow
+    images = scan.image_indices(scan.matrix_of_associate(f), normal_idx)
     prim_img = scan.is_primitive_mask[images]
     nf = int(prim_img.sum())
     distinct = int(np.unique(images[prim_img]).size)

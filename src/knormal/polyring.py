@@ -44,10 +44,11 @@ class FqPoly:
         for c in coeffs:
             if not (0 <= c < fq.q):
                 raise ValueError(f"coefficient code {c} out of range for q={fq.q}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
         object.__setattr__(self, "fq", fq)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     def __setattr__(self, *a):
         raise AttributeError("FqPoly is immutable")

@@ -29,12 +29,12 @@ from .ff import (
     FFElement,
     FieldContext,
     is_primitive,
+    trace_poly,
     trace_to_subfield,
 )
-from .fieldscan import _digit_rows
 from .intfactor import FactorCache
 from .normality import fq_order, get_scan
-from .polyring import FactoredPoly, FqPoly
+from .polyring import FqPoly
 
 LIFT_SAMPLE_BUDGET = 8192
 
@@ -54,19 +54,6 @@ def _check_divides(f: FqPoly, m: int) -> FqPoly:
     return quot
 
 
-def _trace_matrix(scan, ps: int, terms: int) -> np.ndarray:
-    m_ps = np.eye(scan.en, dtype=np.int64)
-    frob = scan.frob_matrix.astype(np.int64)
-    for _ in range(ps):
-        m_ps = m_ps @ frob % scan.p
-    total = np.zeros((scan.en, scan.en), dtype=np.int64)
-    step = np.eye(scan.en, dtype=np.int64)
-    for _ in range(terms):
-        total = (total + step) % scan.p
-        step = step @ m_ps % scan.p
-    return total.astype(scan.dtype)
-
-
 def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> bool:
     """Exhaustively verify the projection equivalence for one (q, s, f).
 
@@ -82,14 +69,13 @@ def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> 
     scan = get_scan(ctx, threads)
     want_top = scan.order_code == scan.code_of_divisor(top_target)
 
-    tmat = _trace_matrix(scan, ps, ctx.p)
+    tmat = scan.matrix_of_associate(trace_poly(ctx.fq, ctx.n, ps))
     image_ok = np.zeros(scan.size, dtype=bool)
     beta_cache: dict[int, bool] = {}
     chunk = 1 << 15
     for lo in range(0, scan.size, chunk):
         idx = np.arange(lo, min(lo + chunk, scan.size), dtype=np.int64)
-        rows = _digit_rows(idx, scan.ppow, scan.p, scan.dtype)
-        images = (((rows @ tmat) % scan.p).astype(np.int64)) @ scan.ppow
+        images = scan.image_indices(tmat, idx)
         for b in np.unique(images):
             if int(b) not in beta_cache:
                 beta = ctx.from_index(int(b))
@@ -98,10 +84,6 @@ def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> 
             if ok:
                 image_ok[lo + np.nonzero(images == b)[0]] = True
     return bool((want_top == image_ok).all())
-
-
-def _subfield_order_annihilator(ctx: FieldContext, ps: int) -> FactoredPoly:
-    return factor_xm_minus_1(ctx.fq, ps)
 
 
 def lift_by_trace(
@@ -125,7 +107,7 @@ def lift_by_trace(
     _check_divides(f, s)
     top_target = _check_divides(f, ctx.n)
     sub_target = _check_divides(f, ps)
-    sub_ann = _subfield_order_annihilator(ctx, ps)
+    sub_ann = factor_xm_minus_1(ctx.fq, ps)
     ctx.qn_minus_1(cache=cache)
     rng = random.Random(seed)
 

@@ -64,14 +64,12 @@ def slow_multiplicative_order(ctx: FieldContext, a: FFElement) -> int:
 def conjugate_corank(ctx: FieldContext, a: FFElement) -> int:
     """n minus the F_q-rank of the conjugate matrix; equals the normality
     index by definition."""
-    from knormal.ff import frobenius
-
     fq = ctx.fq
     rows = []
     b = a
     for _ in range(ctx.n):
         rows.append(list(b.coeffs))
-        b = frobenius(ctx, b, 1)
+        b = b**ctx.q
     rank = 0
     col = 0
     n = ctx.n
@@ -98,6 +96,14 @@ def direct_associate(ctx: FieldContext, f: FqPoly, a: FFElement) -> FFElement:
     for i, c in enumerate(f.coeffs):
         if c:
             acc = acc + (a ** (ctx.q**i)).scale(c)
+    return acc
+
+
+def direct_trace(ctx: FieldContext, a: FFElement, m: int) -> FFElement:
+    """The relative trace onto F_{q^m} by raw powering: sum of a^(q^(m*i))."""
+    acc = ctx.zero()
+    for i in range(ctx.n // m):
+        acc = acc + a ** (ctx.q ** (m * i))
     return acc
 
 

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from knormal.basefield import FqField
 from knormal.errors import BudgetError
 from knormal.ff import (
     build_field,
+    exact_dtype,
     field_with_modulus,
     find_primitive,
     frobenius,
@@ -16,7 +18,7 @@ from knormal.ff import (
 )
 from knormal.polyring import FqPoly, format_poly, is_irreducible, powmod
 
-from oracles import slow_multiplicative_order
+from oracles import direct_trace, slow_multiplicative_order
 
 
 def test_build_field_deterministic_and_shared():
@@ -67,13 +69,37 @@ def test_field_axioms_random_triples(p, e, n):
             assert a * a.inverse() == ctx.one()
 
 
-# prime q, prime-power q, n = 1, and p large enough that the kernel runs on
-# Python ints: (2^61 - 1, 1, 3), (4294967291, 1, 2) and (2^31 - 1, 2, 1)
+def test_exact_dtype_boundaries():
+    assert exact_dtype(0) is np.int16
+    assert exact_dtype(2**15 - 1) is np.int16
+    assert exact_dtype(2**15) is np.int32
+    assert exact_dtype(2**31 - 1) is np.int32
+    assert exact_dtype(2**31) is np.int64
+    assert exact_dtype(2**63 - 1) is np.int64
+    assert exact_dtype(2**63) is object
+
+
+# the kernel bound (2n-1)(2e-1)(p-1)^2 on either side of each width
+@pytest.mark.parametrize(
+    "p,e,n,dtype",
+    [
+        (103, 1, 2, np.int16), (107, 1, 2, np.int32),
+        (2**30 + 3, 1, 3, np.int64), (2**31 - 1, 1, 2, object),
+    ],
+)
+def test_kernel_width_follows_its_bound(p, e, n, dtype):
+    assert build_field(p, e, n)._kdtype is dtype
+
+
+# prime q, prime-power q, n = 1, every kernel width, and p large enough that
+# the kernel runs on Python ints: (2^61 - 1, 1, 3), (4294967291, 1, 2) and
+# (2^31 - 1, 2, 1)
 @pytest.mark.parametrize(
     "p,e,n",
     [
         (2, 1, 1), (2, 1, 24), (101, 1, 4), (5, 1, 1),
         (2, 3, 8), (3, 2, 5), (7, 3, 1), (257, 2, 3),
+        (103, 1, 2), (107, 1, 2), (2**30 + 3, 1, 3),
         (2**61 - 1, 1, 3), (4294967291, 1, 2), (2**31 - 1, 2, 1),
     ],
 )
@@ -148,6 +174,29 @@ def test_frobenius_matches_direct_powering():
         a = ctx.random_element(rng)
         i = rng.randrange(0, 5)
         assert frobenius(ctx, a, i) == a ** (ctx.q**i)
+
+
+# the flat-view bound n * e*n * (p-1)^2 on either side of 2^63, and
+# prime-power fields on three widths
+@pytest.mark.parametrize(
+    "p,e,n,dtype",
+    [
+        (2**30 + 3, 1, 2, np.int64), (2**30 + 3, 1, 3, object),
+        (2**31 - 1, 1, 2, object), (2**31 - 1, 1, 3, object),
+        (3, 2, 4, np.int16), (101, 2, 2, np.int32), (2**31 - 1, 2, 3, object),
+    ],
+)
+def test_frobenius_and_trace_match_powering_at_every_width(p, e, n, dtype):
+    ctx = build_field(p, e, n)
+    assert ctx._flat_dtype is dtype
+    rng = random.Random(p + 10 * e + n)
+    for _ in range(5):
+        a = ctx.random_element(rng)
+        for i in range(n + 1):
+            assert frobenius(ctx, a, i) == a ** (ctx.q**i)
+        for m in range(1, n + 1):
+            if n % m == 0:
+                assert trace_to_subfield(ctx, a, m) == direct_trace(ctx, a, m)
 
 
 def test_trace_trivial_cases():

@@ -87,6 +87,27 @@ def test_order_of_one_above_int64_indices():
     assert normality_index(ctx, ctx.zero()) == ctx.n
 
 
+# n * e*n * (p-1)^2 passes 2^63 on F_{(2^61-1)^3}, so the flat views must
+# run on Python ints there: int64 products would wrap
+def test_associate_on_the_object_path():
+    ctx = build_field(2**61 - 1, 1, 3)
+    assert ctx._flat_dtype is object
+    rng = random.Random(13)
+    x = FqPoly.x(ctx.fq)
+    for _ in range(5):
+        a = ctx.random_element(rng)
+        assert q_associate(ctx, x, a) == a**ctx.q
+
+
+def test_normality_index_on_the_object_path():
+    ctx = build_field(2**61 - 1, 1, 3)
+    assert normality_index(ctx, ctx.embed_scalar(12345)) == 2
+    rng = random.Random(14)
+    for _ in range(20):
+        a = ctx.random_element(rng)
+        assert normality_index(ctx, a**ctx.q - a) == 1
+
+
 def test_order_in_f4():
     u = CTX4.gen()
     assert fq_order(CTX4, u) == FqPoly(CTX4.fq, (1, 0, 1))  # x^2 + 1 = (x+1)^2
