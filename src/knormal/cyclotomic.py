@@ -4,10 +4,11 @@ Write n = p^t * m with gcd(m, p) = 1; then x^n - 1 = (x^m - 1)^(p^t) and
 x^m - 1 is squarefree.  For each divisor d of m, the roots of order d are
 the powers xi^j of a fixed element xi of order d, j ranging over the units
 of Z/d; the coset of j under multiplication by q yields one irreducible
-factor, the product of (x - xi^c) over the coset.  Coset products are
-computed in an extension F_{q^L} with L the coset size's lcm needs only
-the per-divisor order L = ord_d(q), and every resulting coefficient is
-checked to be a base field constant before the factor is accepted.
+factor, the product of (x - xi^c) over the coset.  Every coset of the
+divisor d has ord_d(q) elements, so the coset products of d are computed
+in the extension F_{q^L} with L = ord_d(q), and every resulting
+coefficient is checked to be a base field constant before the factor is
+accepted.
 
 This route is deterministic (no probabilistic splitting) and exposes the
 coset structure that divisor degree sets are made of.

@@ -8,6 +8,11 @@ _KARATSUBA_CUTOFF coefficients, and Karatsuba otherwise; division skips
 zero divisor coefficients, so dividing by a sparse polynomial costs
 O(deg * terms).
 
+Irreducibility is Ben-Or's test: f of degree d is irreducible iff
+gcd(x^(q^i) - x, f) = 1 for every i <= d/2, because a reducible f has an
+irreducible factor of degree at most d/2.  The test stops at the first i
+with a common factor, so most reducible candidates cost a step or two.
+
 The canonical ordering used everywhere (divisor listings, factor lists,
 "least irreducible" modulus selection) is: by degree, then lexicographic
 on the coefficient tuple (c0, c1, ..., cd) as integers.
@@ -22,6 +27,7 @@ Coefficient codes at or above q are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -197,13 +203,6 @@ class FqPoly:
             return self
         return self.scale(self.fq.inv(self.coeffs[-1]))
 
-    def derivative(self) -> "FqPoly":
-        fq = self.fq
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(fq.mul(i % fq.p, c))
-        return FqPoly(fq, out)
-
     def eval(self, a: int) -> int:
         """Horner evaluation at an F_q element code."""
         fq = self.fq
@@ -298,26 +297,16 @@ def powmod(base: FqPoly, k: int, mod: FqPoly) -> FqPoly:
     return result
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: FqPoly) -> bool:
-    """Deterministic irreducibility test for monic f over F_q.
+    """Ben-Or's deterministic irreducibility test for f over F_q.
 
-    f of degree d is irreducible iff x^(q^d) = x mod f and, for every prime
-    l dividing d, gcd(x^(q^(d/l)) - x, f) = 1.  The Frobenius iterates
-    x^(q^j) mod f are computed by repeated q-th powering.
+    A reducible f of degree d has an irreducible factor of some degree
+    i <= d/2, and that factor divides gcd(x^(q^i) - x, f); an irreducible
+    f of degree d shares no factor with x^(q^i) - x for 0 < i < d.  So f
+    is irreducible iff gcd(x^(q^i) - x, f) = 1 for i = 1, ..., d/2.  The
+    iterates x^(q^i) mod f come from repeated q-th powering, and the test
+    stops at the first i with a common factor.  Repeated factors need no
+    separate check.
     """
     d = f.degree
     if d < 1:
@@ -327,38 +316,43 @@ def is_irreducible(f: FqPoly) -> bool:
     fq = f.fq
     if f.coeffs[0] == 0:
         return False  # divisible by x
-    if poly_gcd(f, f.derivative()).degree > 0:
-        return False
     x = FqPoly.x(fq)
-    checkpoints = {d // l for l in _prime_divisors(d)}
     t = x
-    for j in range(1, d + 1):
+    for _ in range(d // 2):
         t = powmod(t, fq.q, f)
-        if j in checkpoints and poly_gcd(t - x, f).degree > 0:
+        if poly_gcd(t - x, f).degree > 0:
             return False
-        if j == d:
-            return t == x
-    return False
+    return True
 
 
 def least_irreducible(fq: FqField, d: int) -> FqPoly:
-    """The canonically least monic irreducible of degree d over F_q."""
+    """The canonically least monic irreducible of degree d over F_q.
+
+    When gcd(d, e) > 1, candidates with every coefficient in F_p are
+    reducible over F_q = F_{p^e} and are skipped without a test.
+    """
     if d < 1:
         raise ValueError("degree must be positive")
-    q = fq.q
+    q, p = fq.q, fq.p
     # Lex order on (c0, ..., c_{d-1}) makes c0 the most significant digit.
     # For d >= 2 the first q^(d-1) candidates have c0 = 0, so x divides
     # them; skipping that block returns the same polynomial.
-    start = q ** (d - 1) if d >= 2 else 0
-    for idx in range(start, q**d):
-        coeffs = []
-        rest = idx
-        for i in range(d - 1, -1, -1):
-            c, rest = divmod(rest, q**i)
-            coeffs.append(c)
+    idx = q ** (d - 1) if d >= 2 else 0
+    # An irreducible of degree d over F_p splits over F_{p^e} into gcd(d, e)
+    # factors, so F_p-polynomials of degree d are reducible there when
+    # gcd(d, e) > 1.  Such a candidate jumps to the next value of its last
+    # coefficient that lies outside F_p; every candidate jumped over is one
+    # of them.
+    skip_base = math.gcd(d, fq.e) > 1
+    while idx < q**d:
+        coeffs = [idx // q**i % q for i in range(d - 1, -1, -1)]
+        if skip_base and max(coeffs) < p:
+            idx += p - coeffs[-1]
+            continue
         f = FqPoly(fq, tuple(coeffs) + (1,))
         if is_irreducible(f):
             return f
+        idx += 1
     raise RuntimeError(f"no irreducible of degree {d} found over F_{q}")
 
 

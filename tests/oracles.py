@@ -2,10 +2,11 @@
 
 Everything here is written for obviousness, not speed, and deliberately
 avoids the production code paths it is used to check: factorization by
-trial division, orders by successive powering, normality by Gaussian
-elimination on the conjugate matrix, minimal annihilators by scanning
-divisors in order, and a generic distinct-degree/equal-degree polynomial
-factorizer to cross-check the cyclotomic coset route.
+trial division, irreducibility by trial division with list arithmetic,
+orders by successive powering, normality by Gaussian elimination on the
+conjugate matrix, minimal annihilators by scanning divisors in order, and
+a generic distinct-degree/equal-degree polynomial factorizer to
+cross-check the cyclotomic coset route.
 """
 
 from __future__ import annotations
@@ -49,6 +50,38 @@ def squarefree_divisor_count(m: int) -> int:
 
 def euler_phi(n: int) -> int:
     return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+
+
+def monic_coeffs(fq: FqField, d: int):
+    """Coefficient lists (constant first) of every monic polynomial of
+    degree d over F_q, in canonical order: lex on (c0, ..., c_{d-1})."""
+    q = fq.q
+    for idx in range(q**d):
+        yield [idx // q**i % q for i in range(d - 1, -1, -1)] + [1]
+
+
+def _monic_divides(fq: FqField, g: list[int], f: list[int]) -> bool:
+    rem = list(f)
+    k = len(g) - 1
+    for i in range(len(rem) - 1, k - 1, -1):
+        c = rem[i]
+        if c:
+            for j, gj in enumerate(g):
+                rem[i - k + j] = fq.sub(rem[i - k + j], fq.mul(c, gj))
+    return not any(rem)
+
+
+def brute_is_irreducible(fq: FqField, coeffs) -> bool:
+    """Irreducibility of a polynomial (constant first, nonzero leading
+    coefficient) by trial division by every monic polynomial of degree
+    1..d/2, in list arithmetic over FqField."""
+    f = list(coeffs)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    return not any(
+        _monic_divides(fq, g, f) for k in range(1, d // 2 + 1) for g in monic_coeffs(fq, k)
+    )
 
 
 def slow_multiplicative_order(ctx: FieldContext, a: FFElement) -> int:

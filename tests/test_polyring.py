@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knormal
 from knormal.basefield import FqField
 from knormal.errors import BudgetError
 from knormal.ff import build_field
@@ -22,10 +26,14 @@ from knormal.polyring import (
     poly_gcd,
     powmod,
 )
+from oracles import brute_is_irreducible, monic_coeffs
 
 F2 = FqField(2)
 F3 = FqField(3)
 F5 = FqField(5)
+F4 = build_field(2, 2, 1).fq
+F8 = build_field(2, 3, 1).fq
+F9 = build_field(3, 2, 1).fq
 
 
 def rand_poly(fq, deg, rng):
@@ -106,16 +114,7 @@ def test_eval():
 
 
 def _count_monic_irreducibles(fq, d):
-    count = 0
-    for idx in range(fq.q**d):
-        coeffs = []
-        rest = idx
-        for _ in range(d):
-            rest, c = divmod(rest, fq.q)
-            coeffs.append(c)
-        if is_irreducible(FqPoly(fq, coeffs + [1])):
-            count += 1
-    return count
+    return sum(is_irreducible(FqPoly(fq, c)) for c in monic_coeffs(fq, d))
 
 
 @pytest.mark.parametrize(
@@ -146,21 +145,46 @@ def _mobius_int(n):
     return out
 
 
+@pytest.mark.parametrize(
+    "fq,d", [(F2, 4), (F2, 6), (F3, 4), (F4, 2), (F4, 3), (F4, 4), (F9, 2)]
+)
+def test_is_irreducible_matches_trial_division(fq, d):
+    # every monic candidate, including those divisible by x and those
+    # with repeated factors such as (x^2 + x + 1)^2 over F_2
+    for coeffs in monic_coeffs(fq, d):
+        assert is_irreducible(FqPoly(fq, coeffs)) == brute_is_irreducible(fq, coeffs), coeffs
+
+
 def test_least_irreducible_is_least():
-    # brute scan in canonical order must agree
-    # (F2, 10) and (F3, 6) have large blocks of candidates with c0 = 0
-    for fq, d in [(F2, 3), (F3, 2), (F5, 2), (F2, 10), (F3, 6)]:
-        best = least_irreducible(fq, d)
-        for idx in range(fq.q**d):
-            coeffs = []
-            rest = idx
-            for i in range(d - 1, -1, -1):
-                c, rest = divmod(rest, fq.q**i)
-                coeffs.append(c)
-            f = FqPoly(fq, tuple(coeffs) + (1,))
-            if is_irreducible(f):
-                assert f == best
-                break
+    # the first monic candidate in canonical order that trial division
+    # finds irreducible; (F2, 10) and (F3, 6) have large blocks of
+    # candidates with c0 = 0, and for prime-power q the candidates over
+    # F_p are skipped when gcd(d, e) > 1 and must not be when it is 1
+    cases = [(F2, 3), (F3, 2), (F5, 2), (F2, 10), (F3, 6)]
+    cases += [(F4, 2), (F4, 3), (F4, 4), (F8, 3), (F9, 4)]
+    for fq, d in cases:
+        best = next(c for c in monic_coeffs(fq, d) if brute_is_irreducible(fq, c))
+        assert least_irreducible(fq, d) == FqPoly(fq, best), (fq, d)
+    # gcd(3, 2) = 1, so x^3 + x^2 + 1 over F_2 stays irreducible over F_4
+    assert least_irreducible(F4, 3) == FqPoly(F4, (1, 0, 1, 1))
+
+
+def test_least_irreducible_large_p_squared_finishes():
+    # every x^2 + c1 x + c0 with c0, c1 in F_p is reducible over F_{p^2};
+    # the scan must not test them one by one
+    src = str(Path(knormal.__file__).resolve().parents[1])
+    code = (
+        "import sys, time; sys.path[:0] = sys.argv[1:]\n"
+        "from knormal.ff import build_field\n"
+        "t = time.perf_counter(); ctx = build_field(2**31 - 1, 2, 2)\n"
+        "print(time.perf_counter() - t, ctx.top_modulus.coeffs)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=60
+    )
+    seconds, coeffs = out.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert coeffs.strip() == "(1, 2147483648, 1)"
 
 
 def test_least_irreducible_degree_one_is_x():
