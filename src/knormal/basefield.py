@@ -9,14 +9,32 @@ The encoding makes elements hashable, cheap to store in bulk, and directly
 usable as table indices: for small extension fields the multiplication and
 inversion tables are built lazily and all arithmetic becomes list lookups.
 Larger extension fields fall back to digit-vector arithmetic per call.
+
+The field also owns the digit layout of the bulk product kernels (ff,
+polyring): code i of a list fills slot i of 2e-1 digit positions with its
+e base-p digits (weights code_pow), then e-1 zeros, so products never
+spill between slots; fold_slots reduces a slot mod p and h1 with
+slot_fold (row j: the digits of u^j mod h1).  exact_dtype is the width rule.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 from .intfactor import is_prime
 
 # Lazy mul/inv tables are built for extension fields up to this size.
 TABLE_MAX_Q = 256
+
+
+def exact_dtype(bound: int):
+    """The narrowest of int16, int32 and int64 that holds 0..bound, else object."""
+    for t in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return t
+    return object
 
 
 def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
@@ -87,6 +105,31 @@ class FqField:
 
     def elements(self):
         return range(self.q)
+
+    @functools.cached_property
+    def code_pow(self) -> np.ndarray:
+        """p^j for j < e: digit j's weight in a code."""
+        return np.array([self.p**j for j in range(self.e)], dtype=exact_dtype(self.q - 1))
+
+    @functools.cached_property
+    def slot_fold(self) -> np.ndarray:
+        """(2e-1) x e; row j holds the digits of u^j mod h1."""
+        rows = [self.digits(self.pow(self.p, j)) for j in range(2 * self.e - 1)]
+        return np.array(rows, dtype=exact_dtype(len(rows) * (self.p - 1) ** 2))
+
+    def code_digits(self, codes) -> np.ndarray:
+        """(len(codes), e) base-p digits of the codes."""
+        return np.array(codes, dtype=self.code_pow.dtype)[:, None] // self.code_pow % self.p
+
+    def code_slots(self, codes, dtype) -> np.ndarray:
+        """(len(codes), 2e-1) slots in dtype: each code's digits, then zeros."""
+        slots = np.zeros((len(codes), 2 * self.e - 1), dtype=dtype)
+        slots[:, : self.e] = self.code_digits(codes)
+        return slots
+
+    def fold_slots(self, slots: np.ndarray) -> np.ndarray:
+        """(m, e) digits of the (m, 2e-1) nonnegative slots mod p and h1."""
+        return (slots % self.p) @ self.slot_fold % self.p
 
     # -- arithmetic -------------------------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import (
     BudgetError,
@@ -252,25 +251,14 @@ def cmd_survey(args) -> int:
                 if (q, n, k) not in done:
                     todo.append((q, n, k))
     cache = _cache(args)
-
-    def compute(key):
-        q, n, k = key
-        return sieve_verdict(_context(q, n), k, cache=cache)
-
     new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
     with open(args.out, "a", encoding="utf-8") as fh:
         if new_file:
             fh.write(SieveReport.CSV_HEADER + "\n")
             fh.flush()
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                for report in pool.map(compute, todo):
-                    fh.write(report.csv_row() + "\n")
-                    fh.flush()
-        else:
-            for key in todo:
-                fh.write(compute(key).csv_row() + "\n")
-                fh.flush()
+        for q, n, k in todo:
+            fh.write(sieve_verdict(_context(q, n), k, cache=cache).csv_row() + "\n")
+            fh.flush()
     print(f"survey: {len(todo)} new rows, {len(done)} already present, out={args.out}")
     return 0
 
@@ -337,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("survey", cmd_survey, help="sweep a (q,n,k) grid into a CSV file")
     sp.add_argument("--grid", required=True, help="for example q=2..9;n=2..12;k=1..n-1")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     return top
 

@@ -6,15 +6,12 @@ always produce identical contexts.  Elements of the top field are tuples
 of n F_q element codes in the power basis of v; they are immutable value
 objects with overloaded ring operators.
 
-Products in F_{q^n} are one exact F_p kernel.  An element is written as a
-digit array over F_p: the e base-p digits of its coefficient at v^i sit at
-positions i(2e-1) .. i(2e-1)+e-1, so the array is a polynomial in one
-variable t with u = t and v = t^(2e-1).  A product of two such arrays
-(np.convolve) has u-degree at most 2e-2 in every v-slot, so no slot spills
-into the next; after reducing mod p, one precomputed F_p matrix (the fold)
-maps every monomial u^j v^i, j < 2e-1, i < 2n-1, to the digits of its
-reduction mod h1 and h2.  Powering encodes once and runs the whole
-square-and-multiply chain on digit arrays.
+Products in F_{q^n} are one exact F_p kernel on basefield's digit layout
+with v as the list variable: a product of two digit arrays (np.convolve)
+has u-degree at most 2e-2 in every v-slot; after reducing mod p, one
+precomputed F_p matrix (the fold) maps every monomial u^j v^i, j < 2e-1,
+i < 2n-1, to the digits of its reduction mod h1 and h2.  Powering encodes
+once and runs the whole square-and-multiply chain on digit arrays.
 
 Every other map this package applies to F_{q^n} is F_p-linear: the q-power
 map, multiplication by an F_q scalar, and above all the q-associate
@@ -41,7 +38,9 @@ reach before its reduction mod p, and Python-int object arrays above
   * the flat views: a row @ matrix sums e*n products, and L_f adds at most
     n of them, bound n * e*n * (p-1)^2;
   * whole-field scan chunks (fieldscan): one row @ matrix, bound
-    e*n*(p-1)^2.
+    e*n*(p-1)^2;
+  * F_q[x] products by Kronecker substitution (polyring): a packed field
+    sums at most min(len_a, len_b) * e products, bound that times (p-1)^2.
 
 Everything here is exact integer arithmetic; the context's lazy caches
 (factorization of q^n - 1 and of x^n - 1) are write-once under a lock, so
@@ -56,21 +55,13 @@ import threading
 
 import numpy as np
 
-from .basefield import FqField
+from .basefield import FqField, exact_dtype
 from .errors import BudgetError
 from .intfactor import FactorCache, FactoredInt, factor_integer, is_prime
 from .polyring import FactoredPoly, FqPoly, least_irreducible
 
 # Exhaustive scans over a whole field refuse to run above this many elements.
 ENUMERATION_CAP = 1_000_000
-
-
-def exact_dtype(bound: int):
-    """The narrowest of int16, int32 and int64 that holds 0..bound, else object."""
-    for t in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(t).max:
-            return t
-    return object
 
 
 class FFElement:
@@ -216,16 +207,13 @@ class FieldContext:
         s = 2 * e - 1  # stride of one v-slot
         self._kwidth = (n - 1) * s + e
         self._kdtype = exact_dtype((2 * n - 1) * s * (p - 1) ** 2)
-        self._code_pow = np.array([p**j for j in range(e)], dtype=exact_dtype(self.q - 1))
-        upow = [fq.pow(p, j) for j in range(s)] if e > 1 else [1]  # u^j mod h1
+        upow = (fq.slot_fold @ fq.code_pow).tolist()  # u^j mod h1
         neg_low = [fq.neg(c) for c in self.top_modulus.coeffs[:-1]]
         fold = np.zeros(((2 * n - 1) * s, self._kwidth), dtype=self._kdtype)
         vpow = [1] + [0] * (n - 1)  # v^i mod h2
         for i in range(2 * n - 1):
             for j, uj in enumerate(upow):
-                for k, c in enumerate(vpow):
-                    if c:
-                        fold[i * s + j, k * s : k * s + e] = fq.digits(fq.mul(uj, c))
+                fold[i * s + j] = self._encode([fq.mul(uj, c) for c in vpow])  # u^j v^i
             top = vpow[-1]
             vpow = [0] + vpow[:-1]
             if top:
@@ -233,17 +221,12 @@ class FieldContext:
         self._fold = fold
 
     def _encode(self, coeffs: tuple[int, ...]) -> np.ndarray:
-        e = self.e
-        slots = np.zeros((self.n, 2 * e - 1), dtype=self._kdtype)
-        slots[:, :e] = self._code_digits(coeffs)
-        return slots.reshape(-1)[: self._kwidth]
+        return self.fq.code_slots(coeffs, self._kdtype).reshape(-1)[: self._kwidth]
 
     def _decode(self, digits: np.ndarray) -> FFElement:
         e = self.e
-        slots = np.zeros(self.n * (2 * e - 1), dtype=self._kdtype)
-        slots[: self._kwidth] = digits
-        codes = slots.reshape(self.n, 2 * e - 1)[:, :e] @ self._code_pow
-        return FFElement(self, tuple(codes.tolist()))
+        slots = np.concatenate((digits, np.zeros(e - 1, digits.dtype))).reshape(self.n, 2 * e - 1)
+        return FFElement(self, tuple((slots[:, :e] @ self.fq.code_pow).tolist()))
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (np.convolve(a, b) % self.p) @ self._fold % self.p
@@ -331,15 +314,11 @@ class FieldContext:
     # -- the F_p-linear layer (see the module docstring) ---------------------
     # Row convention: apply as row @ matrix; every array is in _flat_dtype.
 
-    def _code_digits(self, coeffs: tuple[int, ...]) -> np.ndarray:
-        # (n, e) base-p digits of the n F_q codes
-        return np.array(coeffs, dtype=self._code_pow.dtype)[:, None] // self._code_pow % self.p
-
     def flat_digits(self, a: FFElement) -> np.ndarray:
-        return self._code_digits(a.coeffs).reshape(-1).astype(self._flat_dtype)
+        return self.fq.code_digits(a.coeffs).reshape(-1).astype(self._flat_dtype)
 
     def element_from_flat(self, row: np.ndarray) -> FFElement:
-        return FFElement(self, tuple((row.reshape(self.n, self.e) @ self._code_pow).tolist()))
+        return FFElement(self, tuple((row.reshape(self.n, self.e) @ self.fq.code_pow).tolist()))
 
     def linear_matrix(self, fn) -> np.ndarray:
         """Matrix of an F_p-linear map fn on the flat basis."""

@@ -167,12 +167,6 @@ class FactoredInt:
         """Number of squarefree divisors, 2^(number of distinct primes)."""
         return 1 << len(self.factors)
 
-    def radical(self) -> int:
-        out = 1
-        for p, _ in self.factors:
-            out *= p
-        return out
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

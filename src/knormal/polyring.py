@@ -2,11 +2,15 @@
 
 Polynomials are represented as tuples of F_q element codes, constant
 coefficient first, with no trailing zeros; the empty tuple is the zero
-polynomial.  All operations are exact.  Multiplication is schoolbook for
-sparse operands or when the shorter operand has fewer than
-_KARATSUBA_CUTOFF coefficients, and Karatsuba otherwise; division skips
-zero divisor coefficients, so dividing by a sparse polynomial costs
-O(deg * terms).
+polynomial.  All operations are exact.  A product whose shorter operand
+has fewer than _SCHOOLBOOK_CUTOFF coefficients runs a schoolbook loop,
+any other Kronecker substitution (Harvey, JSC 2009; FLINT's nmod_poly):
+each operand, in basefield's digit layout, becomes one Python int with a
+digit per whole-byte field sized for the bound min(len_a, len_b) * e *
+(p-1)^2 of a product field; the big-int product is unpacked (numpy byte
+views, or Python ints when exact_dtype(bound) is object) and folded mod
+p and h1.  Division stays long division, skipping zero divisor
+coefficients, so dividing by a sparse polynomial costs O(deg * terms).
 
 Irreducibility is Ben-Or's test: f of degree d is irreducible iff
 gcd(x^(q^i) - x, f) = 1 for every i <= d/2, because a reducible f has an
@@ -31,10 +35,12 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .basefield import FqField
+import numpy as np
+
+from .basefield import FqField, exact_dtype
 from .errors import BudgetError
 
-_KARATSUBA_CUTOFF = 32
+_SCHOOLBOOK_CUTOFF = 32
 
 # Divisor enumeration refuses to materialize more than this many divisors.
 DIVISOR_CAP = 1 << 20
@@ -211,23 +217,14 @@ class FqPoly:
             acc = fq.add(fq.mul(acc, a), c)
         return acc
 
-    def nonzero_terms(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) pairs of nonzero terms, low to high."""
-        return [(i, c) for i, c in enumerate(self.coeffs) if c]
-
 
 def _mul(fq: FqField, a: list[int], b: list[int]) -> list[int]:
-    na, nb = len(a), len(b)
-    terms_a = sum(1 for c in a if c)
-    terms_b = sum(1 for c in b if c)
-    if min(terms_a, terms_b) * 4 <= min(na, nb) or min(na, nb) < _KARATSUBA_CUTOFF:
+    if min(len(a), len(b)) < _SCHOOLBOOK_CUTOFF:
         return _mul_school(fq, a, b)
-    return _mul_karatsuba(fq, a, b)
+    return _mul_ks(fq, a, b)
 
 
 def _mul_school(fq: FqField, a: list[int], b: list[int]) -> list[int]:
-    if sum(1 for c in a if c) > sum(1 for c in b if c):
-        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     if fq.e == 1:
         p = fq.p
@@ -247,32 +244,33 @@ def _mul_school(fq: FqField, a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _mul_karatsuba(fq: FqField, a: list[int], b: list[int]) -> list[int]:
-    n = min(len(a), len(b))
-    if n < _KARATSUBA_CUTOFF:
-        return _mul_school(fq, a, b)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul(fq, a0, b0)
-    z2 = _mul(fq, a1, b1)
-    s_a = [fq.add(x, y) for x, y in zip(a0, a1)] + list(a1[len(a0):]) + list(a0[len(a1):])
-    s_b = [fq.add(x, y) for x, y in zip(b0, b1)] + list(b1[len(b0):]) + list(b0[len(b1):])
-    z1 = _mul(fq, s_a, s_b)
-    for i, c in enumerate(z0):
-        z1[i] = fq.sub(z1[i], c)
-    for i, c in enumerate(z2):
-        z1[i] = fq.sub(z1[i], c)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = c
-    for i, c in enumerate(z1):
-        if c:
-            out[i + h] = fq.add(out[i + h], c)
-    for i, c in enumerate(z2):
-        if c:
-            out[i + 2 * h] = fq.add(out[i + 2 * h], c)
-    return out
+def _mul_ks(fq: FqField, a: list[int], b: list[int]) -> list[int]:
+    # Kronecker substitution (see the module docstring)
+    bound = min(len(a), len(b)) * fq.e * (fq.p - 1) ** 2
+    width = (bound.bit_length() + 7) // 8  # bytes per digit field
+    dtype = exact_dtype(bound)
+    prod = _pack(fq.code_slots(a, dtype), width) * _pack(fq.code_slots(b, dtype), width)
+    slots = _unpack(prod, (len(a) + len(b) - 1) * (2 * fq.e - 1), width, dtype)
+    return (fq.fold_slots(slots.reshape(-1, 2 * fq.e - 1)) @ fq.code_pow).tolist()
+
+
+def _pack(digits: np.ndarray, width: int) -> int:
+    """One int holding the digits, low first, in fields of `width` bytes."""
+    if digits.dtype == object:
+        return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits.flat), "little")
+    fields = digits.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :width]
+    return int.from_bytes(fields.tobytes(), "little")
+
+
+def _unpack(value: int, count: int, width: int, dtype) -> np.ndarray:
+    """The first `count` fields of `width` bytes of value, low first."""
+    raw = value.to_bytes(count * width, "little")
+    if dtype is object:
+        fields = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+        return np.array(fields, dtype=object)
+    buf = np.zeros((count, 8), dtype=np.uint8)
+    buf[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
+    return buf.view("<i8")
 
 
 def poly_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
@@ -385,9 +383,6 @@ class FactoredPoly:
     def degree(self) -> int:
         return sum(f.degree * m for f, m in self.factors)
 
-    def num_distinct(self) -> int:
-        return len(self.factors)
-
     def multiplicity(self, f: FqPoly) -> int:
         for g, m in self.factors:
             if g == f:
@@ -478,7 +473,7 @@ def degree_set(fp: FactoredPoly) -> set[int]:
 # -- text formats ---------------------------------------------------------
 
 
-def format_poly(f: FqPoly, var: str = "x") -> str:
+def format_poly(f: FqPoly) -> str:
     """Sum-of-terms text form; the zero polynomial prints as "0"."""
     if not f:
         return "0"
@@ -489,9 +484,9 @@ def format_poly(f: FqPoly, var: str = "x") -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(var if c == 1 else f"{c}*{var}")
+            parts.append("x" if c == 1 else f"{c}*x")
         else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
+            parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
     return " + ".join(parts)
 
 
@@ -499,7 +494,7 @@ def format_poly_list(f: FqPoly) -> str:
     return "[" + ",".join(str(c) for c in f.coeffs) + "]"
 
 
-def parse_poly(fq: FqField, text: str, var: str = "x") -> FqPoly:
+def parse_poly(fq: FqField, text: str) -> FqPoly:
     """Parse either text form; coefficient codes must be below q."""
     text = text.strip()
     if not text:
@@ -517,8 +512,8 @@ def parse_poly(fq: FqField, text: str, var: str = "x") -> FqPoly:
             continue
         if term.startswith("-"):
             raise ValueError(f"negative coefficients are not valid codes: {term!r}")
-        if var in term:
-            c_part, _, e_part = term.partition(var)
+        if "x" in term:
+            c_part, _, e_part = term.partition("x")
             c_part = c_part.strip().rstrip("*").strip()
             c = int(c_part) if c_part else 1
             e_part = e_part.strip()

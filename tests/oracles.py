@@ -1,12 +1,14 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is written for obviousness, not speed, and deliberately
-avoids the production code paths it is used to check: factorization by
-trial division, irreducibility by trial division with list arithmetic,
-orders by successive powering, normality by Gaussian elimination on the
-conjugate matrix, minimal annihilators by scanning divisors in order, and
-a generic distinct-degree/equal-degree polynomial factorizer to
-cross-check the cyclotomic coset route.
+avoids the production code paths it is used to check: products,
+remainders and powers of F_q[x] coefficient lists by schoolbook loops in
+FqField scalar arithmetic (no digit layout, no packed integers),
+factorization by trial division, irreducibility by trial division with
+list arithmetic, orders by successive powering, normality by Gaussian
+elimination on the conjugate matrix, minimal annihilators by scanning
+divisors in order, and a generic distinct-degree/equal-degree polynomial
+factorizer to cross-check the cyclotomic coset route.
 """
 
 from __future__ import annotations
@@ -50,6 +52,51 @@ def squarefree_divisor_count(m: int) -> int:
 
 def euler_phi(n: int) -> int:
     return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+
+
+def school_mul(fq: FqField, a: list[int], b: list[int]) -> list[int]:
+    """Product of two coefficient lists (constant first, no trailing zeros)
+    by the schoolbook double loop."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = fq.add(out[i + j], fq.mul(ai, bj))
+    return out
+
+
+def _strip(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def school_divmod(fq: FqField, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b (nonzero leading coefficient) by
+    long division, both without trailing zeros."""
+    rem = list(a)
+    d = len(b) - 1
+    lead_inv = fq.inv(b[-1])
+    quot = [0] * max(len(a) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = fq.mul(rem[i], lead_inv)
+        quot[i - d] = c
+        for j, bj in enumerate(b):
+            rem[i - d + j] = fq.sub(rem[i - d + j], fq.mul(c, bj))
+    return _strip(quot), _strip(rem[:d])
+
+
+def school_powmod(fq: FqField, a: list[int], k: int, mod: list[int]) -> list[int]:
+    """a^k mod `mod` by repeated squaring of school_mul products."""
+    result = school_divmod(fq, [1], mod)[1]
+    base = school_divmod(fq, a, mod)[1]
+    while k:
+        if k & 1:
+            result = school_divmod(fq, school_mul(fq, result, base), mod)[1]
+        base = school_divmod(fq, school_mul(fq, base, base), mod)[1]
+        k >>= 1
+    return result
 
 
 def monic_coeffs(fq: FqField, d: int):

@@ -26,7 +26,7 @@ from knormal.polyring import (
     poly_gcd,
     powmod,
 )
-from oracles import brute_is_irreducible, monic_coeffs
+from oracles import brute_is_irreducible, monic_coeffs, school_divmod, school_mul, school_powmod
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -75,18 +75,45 @@ def test_mixed_fields_rejected():
         divmod(FqPoly(F3, (1, 1)), FqPoly.zero(F3))
 
 
-def test_karatsuba_matches_schoolbook():
-    from knormal.polyring import _KARATSUBA_CUTOFF, _mul_karatsuba, _mul_school
+# Every field runs both product kernels.  The p >= 2^31 - 1 fields put
+# the Kronecker kernel on Python ints; (17, 3) has q above TABLE_MAX_Q.
+@pytest.mark.parametrize(
+    "p,e",
+    [
+        (2, 1), (3, 1), (2, 2), (2, 4), (17, 3),
+        (2**31 - 1, 1), (4294967291, 1), (2**61 - 1, 1), (2**31 - 1, 2),
+    ],
+)
+def test_products_match_school_oracle(p, e):
+    fq = FqField(p) if e == 1 else FqField(p, e, least_irreducible(FqField(p), e).coeffs)
+    rng = random.Random(p + e)
+    top = fq.q - 1
 
-    # dense operands several times the cutoff, so the public product
-    # dispatches to Karatsuba and its recursion reaches the cutoff
-    rng = random.Random(7)
-    for fq in (F2, F3, build_field(2, 2, 1).fq):
-        a = [rng.randrange(fq.q) for _ in range(5 * _KARATSUBA_CUTOFF - 10)]
-        b = [rng.randrange(fq.q) for _ in range(4 * _KARATSUBA_CUTOFF - 5)]
-        expected = _mul_school(fq, a, b)
-        assert _mul_karatsuba(fq, a, b) == expected
-        assert FqPoly(fq, a) * FqPoly(fq, b) == FqPoly(fq, expected)
+    def dense(length):
+        return [rng.randrange(fq.q) for _ in range(length - 1)] + [rng.randrange(1, fq.q)]
+
+    sparse = [0] * 199 + [1]
+    for i in rng.sample(range(199), 4):
+        sparse[i] = rng.randrange(1, fq.q)
+    pairs = [
+        (dense(31), dense(31)), (dense(31), dense(90)),  # schoolbook side of the cutoff
+        (dense(32), dense(32)), (dense(32), dense(90)),  # Kronecker side
+        ([top] * 70, [top] * 45),  # the middle packed fields reach the bound
+        (sparse, dense(50)),
+        ([rng.randrange(1, fq.q)], dense(80)),
+    ]
+    for a, b in pairs:
+        want = tuple(school_mul(fq, a, b))
+        assert (FqPoly(fq, a) * FqPoly(fq, b)).coeffs == want
+        assert (FqPoly(fq, b) * FqPoly(fq, a)).coeffs == want
+    mod = dense(41)
+    # the last two dividends have the divisor's degree: a quotient of length 1
+    for num in (dense(120), dense(41), [top] * 41):
+        quot, rem = divmod(FqPoly(fq, num), FqPoly(fq, mod))
+        assert (list(quot.coeffs), list(rem.coeffs)) == school_divmod(fq, num, mod)
+    base, k = dense(40), rng.randrange(2**10, 2**12)
+    want = tuple(school_powmod(fq, base, k, mod))
+    assert powmod(FqPoly(fq, base), k, FqPoly(fq, mod)).coeffs == want
 
 
 def test_divmod_reconstructs():
