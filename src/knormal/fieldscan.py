@@ -12,13 +12,30 @@ e*n*(p-1)^2 of one row @ matrix product (see the ff module docstring).
 A FieldScan computes, for every element of a field within the enumeration
 cap:
 
-  * the exact factor-exponent code of its F_q-order (one vanishing test
-    per candidate exponent, each a matrix product), hence its normality;
+  * the exact factor-exponent code of its F_q-order, hence its normality;
   * its discrete log against a deterministically chosen generator, hence
     its multiplicative order and primitivity.
 
-Scans process contiguous index ranges and merge by summation, so results
-are independent of chunking and thread schedule.
+The order code comes from vanishing tests.  For each factor P^m of
+x^n - 1 and c = 0..m-1, test (P, m, c) asks whether L_g kills the element,
+g = (x^n - 1)/P^(m-c); the exponent of P in the order is the number of
+P-tests that do not vanish.  A row kills every column of L_g's matrix
+exactly when it kills an F_p basis of those columns, so each test keeps
+only its pivot columns.  As an F_q[x]-module F_{q^n} is F_q[x]/(x^n - 1)
+(the normal basis theorem), so the image of L_g is g F_q[x]/(x^n - 1), of
+dimension (m-c) deg P over F_q, and test (P, m, c) has rank e (m-c) deg P;
+a pivot search that finds another count raises InternalCheckError.
+All kept columns are stacked into one matrix of e * sum_P deg P * m(m+1)/2
+columns (e*n when x^n - 1 is squarefree), so each chunk is one
+row @ stacked product, reduced mod p in place, and one
+logical_or.reduceat over the block offsets gives every test's verdict.
+Every stacked column is a column of a test matrix, so the width bound
+stays e*n*(p-1)^2.  A chunk has as many rows as keep its product at most
+_CHUNK * e*n entries, the size of a full-rank test's product on _CHUNK
+rows, so stacking adds no memory.
+
+Scans process contiguous index ranges and write disjoint slices, so
+results are independent of chunking and thread schedule.
 """
 
 from __future__ import annotations
@@ -33,6 +50,25 @@ from .ff import ENUMERATION_CAP, FieldContext, exact_dtype, find_primitive
 from .polyring import FqPoly
 
 _CHUNK = 1 << 15
+
+
+def _basis_columns(mat: np.ndarray, p: int) -> list[int]:
+    """Indices of columns of mat that form an F_p basis of its column space:
+    the pivot columns of its row echelon form mod p."""
+    a = mat.astype(exact_dtype((p - 1) ** 2)) % p
+    pivots = []
+    r = 0
+    for col in range(a.shape[1]):
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        a[r + 1 :] = (a[r + 1 :] - a[r + 1 :, col, None] * a[r]) % p
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 class FieldScan:
@@ -69,69 +105,70 @@ class FieldScan:
     def _build_order_codes(self, threads: int) -> None:
         ctx = self.ctx
         fp = ctx.xn_minus_1()
-        full = fp.product()
-        tests = []  # (factor position, matrix of L_{(x^n-1)/P^(m-c)}) for c ascending
-        for pos, (P, m) in enumerate(fp.factors):
-            g = full
-            for _ in range(m):
-                g = g // P
-            # g = full / P^m; walking c = 0..m-1 multiplies P back in
-            for c in range(m):
-                tests.append((pos, self.matrix_of_associate(g)))
-                g = g * P
-        self.factor_mults = tuple(m for _, m in fp.factors)
+        full = FqPoly.x_pow_minus_one(ctx.fq, ctx.n)
         strides = []
         s = 1
-        for m in self.factor_mults:
+        for _, m in fp.factors:
             strides.append(s)
             s *= m + 1
         self.code_strides = tuple(strides)
-        factor_degs = tuple(P.degree for P, _ in fp.factors)
 
-        vanish_counts = np.zeros((len(fp.factors), self.size), dtype=exact_dtype(ctx.n))
+        # Test (P, m, c), c = 0..m-1, keeps the pivot columns of the matrix
+        # of L_{(x^n-1)/P^(m-c)}; their count is the rank the module
+        # structure fixes (see the module docstring).
+        blocks, offsets, test_strides, test_degs = [], [], [], []
+        width = 0
+        for (P, m), stride in zip(fp.factors, strides):
+            g = full
+            for _ in range(m):
+                g = g // P
+            for c in range(m):
+                mat = self.matrix_of_associate(g)
+                cols = _basis_columns(mat, self.p)
+                rank = ctx.e * (m - c) * P.degree
+                if len(cols) != rank:
+                    raise InternalCheckError(
+                        f"test matrix of rank {len(cols)}, image dimension {rank}"
+                    )
+                blocks.append(mat[:, cols])
+                offsets.append(width)
+                width += rank
+                test_strides.append(stride)
+                test_degs.append(P.degree)
+                g = g * P
+        stacked = np.concatenate(blocks, axis=1)
+        offsets = np.array(offsets)
+        # test (P, m, c) vanishes iff P's exponent in the order is at most c,
+        # so that exponent is the number of P-tests that do not vanish, and
+        # the code and the degree are sums over the tests that do not vanish
+        code = np.zeros(self.size, dtype=exact_dtype(s - 1))
+        degree = np.zeros(self.size, dtype=exact_dtype(ctx.n))
+        test_strides = np.array(test_strides, dtype=code.dtype)
+        test_degs = np.array(test_degs, dtype=degree.dtype)
+        chunk = max(1, _CHUNK * self.en // width)
 
         def run_chunk(lo: int) -> None:
-            hi = min(lo + _CHUNK, self.size)
-            rows = self.digit_rows(np.arange(lo, hi, dtype=np.int64))
-            for pos, mat in tests:
-                vanish = ((rows @ mat) % self.p == 0).all(axis=1)
-                vanish_counts[pos, lo:hi] += vanish
+            hi = min(lo + chunk, self.size)
+            prod = self.digit_rows(np.arange(lo, hi, dtype=np.int64)) @ stacked
+            np.remainder(prod, self.p, out=prod)
+            alive = np.logical_or.reduceat(prod, offsets, axis=1)
+            code[lo:hi] = alive @ test_strides
+            degree[lo:hi] = alive @ test_degs
 
-        starts = range(0, self.size, _CHUNK)
+        starts = range(0, self.size, chunk)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(run_chunk, starts))
         else:
             for lo in starts:
                 run_chunk(lo)
-
-        # monotone vanishing: exponent of P in the order is mult - #vanishing c's
-        code = np.zeros(self.size, dtype=exact_dtype(s - 1))
-        degree = np.zeros(self.size, dtype=exact_dtype(ctx.n))
-        for pos, m in enumerate(self.factor_mults):
-            exp = m - vanish_counts[pos]
-            code += exp.astype(code.dtype) * self.code_strides[pos]
-            degree += exp * factor_degs[pos]
         self.order_code = code
         self.order_degree = degree
 
     def code_of_divisor(self, f: FqPoly) -> int:
         """Order code of a monic divisor of x^n - 1."""
-        fp = self.ctx.xn_minus_1()
-        code = 0
-        rem = f
-        for pos, (P, m) in enumerate(fp.factors):
-            exp = 0
-            while exp < m:
-                quot, r = divmod(rem, P)
-                if r:
-                    break
-                rem = quot
-                exp += 1
-            code += exp * self.code_strides[pos]
-        if rem.degree != 0:
-            raise ValueError(f"{f!r} does not divide x^n - 1")
-        return code
+        exps = self.ctx.xn_minus_1().exponents(f)
+        return sum(e * s for e, s in zip(exps, self.code_strides))
 
     # -- discrete logs -------------------------------------------------------
 

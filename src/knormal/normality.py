@@ -155,29 +155,12 @@ def associate_poly(ctx: FieldContext, f: FqPoly) -> FqPoly:
     return FqPoly(ctx.fq, coeffs)
 
 
-def _factor_exponents(ctx: FieldContext, f: FqPoly) -> list[int]:
-    # exponent vector of f against the factors of x^n - 1
-    exps = []
-    rem = f
-    for P, m in ctx.xn_minus_1().factors:
-        e = 0
-        while e < m:
-            quot, r = divmod(rem, P)
-            if r:
-                break
-            rem = quot
-            e += 1
-        exps.append(e)
-    if rem.degree != 0:
-        raise ValueError(f"{f!r} does not divide x^{ctx.n} - 1")
-    return exps
-
-
 def phi_of_divisor(ctx: FieldContext, f: FqPoly) -> int:
     """Unit group size of F_q[x]/(f) for a divisor f of x^n - 1."""
     q = ctx.q
+    fp = ctx.xn_minus_1()
     out = 1
-    for (P, _), e in zip(ctx.xn_minus_1().factors, _factor_exponents(ctx, f)):
+    for (P, _), e in zip(fp.factors, fp.exponents(f)):
         if e:
             d = P.degree
             out *= q ** (d * e) - q ** (d * (e - 1))
@@ -192,7 +175,7 @@ def psi_poly(ctx: FieldContext, f: FqPoly, degree_cap: int = PSI_DEGREE_CAP) -> 
     squarefree complement, all divisions exact by construction; a nonzero
     remainder is an internal error, never an input condition.
     """
-    exps = _factor_exponents(ctx, f)
+    exps = ctx.xn_minus_1().exponents(f)
     phi = phi_of_divisor(ctx, f)
     if phi > degree_cap:
         raise BudgetError(f"degree {phi} exceeds cap {degree_cap}")
@@ -316,7 +299,7 @@ def brute_census(
     )
     if f is None:
         return rec
-    _factor_exponents(ctx, f)  # validates divisibility
+    ctx.xn_minus_1().exponents(f)  # validates divisibility
     normal_idx = np.nonzero(scan.order_degree == n)[0]
     images = scan.image_indices(scan.matrix_of_associate(f), normal_idx)
     prim_img = scan.is_primitive_mask[images]

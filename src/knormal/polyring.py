@@ -383,6 +383,24 @@ class FactoredPoly:
     def degree(self) -> int:
         return sum(f.degree * m for f, m in self.factors)
 
+    def exponents(self, f: FqPoly) -> tuple[int, ...]:
+        """Exponent of each factor in f, in factor order, for f dividing
+        this polynomial up to a unit; ValueError if f does not divide it."""
+        exps = []
+        rem = f
+        for P, m in self.factors:
+            e = 0
+            while e < m:
+                quot, r = divmod(rem, P)
+                if r:
+                    break
+                rem = quot
+                e += 1
+            exps.append(e)
+        if rem.degree != 0:
+            raise ValueError(f"{f!r} does not divide {self}")
+        return tuple(exps)
+
     def multiplicity(self, f: FqPoly) -> int:
         for g, m in self.factors:
             if g == f:

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from knormal import fieldscan
 from knormal.errors import BudgetError, InternalCheckError
 from knormal.ff import build_field, is_primitive
 from knormal.normality import (
@@ -385,12 +387,55 @@ def test_census_record_text_stable():
 
 
 def test_census_threads_agree():
-    ctx = build_field(3, 1, 6)
-    seq = brute_census(ctx)
+    # x^16 - 1 = (x + 1)^16 over F_2: a 136-column stack, many chunks
+    for ctx in (build_field(3, 1, 6), build_field(2, 1, 16)):
+        seq = brute_census(ctx)
+        seq_codes = get_scan(ctx).order_code
+        clear_scan(ctx)
+        par = brute_census(ctx, threads=3)
+        par_codes = get_scan(ctx).order_code
+        clear_scan(ctx)
+        assert seq == par
+        assert np.array_equal(seq_codes, par_codes)
+
+
+# fields where x^n - 1 has repeated factors, then fields with e > 1
+@pytest.mark.parametrize(
+    "p,e,n", [(2, 1, 4), (2, 1, 6), (3, 1, 6), (5, 1, 5), (2, 2, 4), (3, 2, 3)]
+)
+def test_order_codes_match_scalar_order(p, e, n):
+    ctx = build_field(p, e, n)
+    scan = get_scan(ctx)
+    for i in range(ctx.order):
+        order = fq_order(ctx, ctx.from_index(i))
+        assert scan.order_code[i] == scan.code_of_divisor(order)
+        assert scan.order_degree[i] == order.degree
     clear_scan(ctx)
-    par = brute_census(ctx, threads=3)
+
+
+def test_order_test_rank_is_checked(monkeypatch):
+    real = fieldscan._basis_columns
+    monkeypatch.setattr(fieldscan, "_basis_columns", lambda mat, p: real(mat, p)[:-1])
+    with pytest.raises(InternalCheckError):
+        fieldscan.FieldScan(build_field(2, 1, 4))
+
+
+# The census benchmark's fields, with canonical moduli: (p, e, n) for q = p^e.
+CENSUS_FIELDS = [
+    (2, 1, 16), (2, 1, 17), (3, 1, 10), (3, 1, 11), (2, 2, 8), (5, 1, 8),
+    (7, 1, 6), (2, 3, 5), (3, 2, 5), (11, 1, 5), (13, 1, 4), (13, 1, 5),
+    (2, 4, 4), (19, 1, 4), (23, 1, 4), (5, 2, 4), (47, 1, 3), (101, 1, 2),
+    (127, 1, 2), (257, 1, 2), (401, 1, 2),
+]
+
+
+@pytest.mark.parametrize("p,e,n", CENSUS_FIELDS)
+def test_census_fields_match_counting(p, e, n):
+    ctx = build_field(p, e, n)
+    rec = brute_census(ctx)
     clear_scan(ctx)
-    assert seq == par
+    assert rec.counts == tuple(count_k_normals(ctx, k) for k in range(n + 1))
+    assert sum(rec.primitive_counts) == ctx.qn_minus_1().phi()
 
 
 def test_scan_matches_scalar_samples():

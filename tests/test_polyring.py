@@ -277,6 +277,23 @@ def test_w_poly():
     assert count_squarefree_divisors_poly(_fp(build_field(3, 1, 4))) == 8
 
 
+def test_exponents_of_divisors():
+    # x^6 - 1 = (x + 1)^2 (x^2 + x + 1)^2 over F_2
+    ctx = build_field(2, 1, 6)
+    fp = _fp(ctx)
+    assert fp.exponents(FqPoly.x_pow_minus_one(ctx.fq, 6)) == (2, 2)
+    assert fp.exponents(FqPoly.one(ctx.fq)) == (0, 0)
+    for d in all_divisors(fp):
+        exps = fp.exponents(d)
+        rebuilt = FqPoly.one(ctx.fq)
+        for (P, _), e in zip(fp.factors, exps):
+            rebuilt = rebuilt * P**e
+        assert rebuilt == d
+    for bad in (FqPoly(ctx.fq, (0, 1)), FqPoly(ctx.fq, (1, 1)) ** 3):
+        with pytest.raises(ValueError):
+            fp.exponents(bad)
+
+
 def test_multiplicativity_on_coprime_parts():
     ctx = build_field(3, 1, 4)
     fp = _fp(ctx)  # three distinct irreducibles
