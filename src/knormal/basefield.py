@@ -6,9 +6,11 @@ in the power basis 1, u, ..., u^(e-1) of F_p[u]/(h(u)).  For prime fields
 (e = 1) the code is just the residue and no modulus is involved.
 
 The encoding makes elements hashable, cheap to store in bulk, and directly
-usable as table indices: for small extension fields the multiplication and
-inversion tables are built lazily and all arithmetic becomes list lookups.
+usable as table indices: for extension fields with q <= TABLE_MAX_Q the
+q x q add, sub and mul tables and the length-q neg and inv tables are
+built together on first use, and all arithmetic becomes list lookups.
 Larger extension fields fall back to digit-vector arithmetic per call.
+Prime fields compute every operation inline with % p.
 
 The field also owns the digit layout of the bulk product kernels (ff,
 polyring): code i of a list fills slot i of 2e-1 digit positions with its
@@ -25,7 +27,7 @@ import numpy as np
 
 from .intfactor import is_prime
 
-# Lazy mul/inv tables are built for extension fields up to this size.
+# Lazy arithmetic tables are built for extension fields up to this size.
 TABLE_MAX_Q = 256
 
 
@@ -72,6 +74,9 @@ class FqField:
         self.e = e
         self.q = p**e
         self.modulus = modulus
+        self._add_table: list[int] | None = None
+        self._sub_table: list[int] | None = None
+        self._neg_table: list[int] | None = None
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
 
@@ -136,6 +141,10 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self.q <= TABLE_MAX_Q:
+            if self._add_table is None:
+                self._build_tables()
+            return self._add_table[a * self.q + b]
         p = self.p
         out, shift = 0, 1
         for _ in range(self.e):
@@ -146,11 +155,21 @@ class FqField:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a - b) % self.p
+        if self.q <= TABLE_MAX_Q:
+            if self._sub_table is None:
+                self._build_tables()
+            return self._sub_table[a * self.q + b]
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self.q <= TABLE_MAX_Q:
+            if self._neg_table is None:
+                self._build_tables()
+            return self._neg_table[a]
         p = self.p
         out, shift = 0, 1
         for _ in range(self.e):
@@ -194,7 +213,11 @@ class FqField:
         return result
 
     def _build_tables(self) -> None:
-        q = self.q
+        q, p, w = self.q, self.p, self.code_pow
+        digits = self.code_digits(range(q))
+        self._add_table = ((digits[:, None] + digits[None, :]) % p @ w).ravel().tolist()
+        self._sub_table = ((digits[:, None] - digits[None, :]) % p @ w).ravel().tolist()
+        self._neg_table = (-digits % p @ w).tolist()
         mul = [0] * (q * q)
         for a in range(q):
             da = self.digits(a)

@@ -11,6 +11,18 @@ digit per whole-byte field sized for the bound min(len_a, len_b) * e *
 views, or Python ints when exact_dtype(bound) is object) and folded mod
 p and h1.  Division stays long division, skipping zero divisor
 coefficients, so dividing by a sparse polynomial costs O(deg * terms).
+Division, sums and differences take the two coefficient paths of the
+schoolbook product: inline % p for prime q, FqField methods (table
+lookups up to TABLE_MAX_Q) for extension fields.  powmod runs left to
+right from the reduced base, one squaring per bit below the top and one
+product per further set bit, so a Ben-Or step over F_2 is one squaring
+mod f.
+
+FqPoly(...) range-checks its codes, since they may come from outside.
+FqPoly._make skips that check and only strips trailing zeros; the
+package uses it for the results it computes itself (sums, differences,
+negations, products, quotients and remainders), whose codes are in
+[0, q) by construction.
 
 Irreducibility is Ben-Or's test: f of degree d is irreducible iff
 gcd(x^(q^i) - x, f) = 1 for every i <= d/2, because a reducible f has an
@@ -56,11 +68,14 @@ class FqPoly:
         for c in coeffs:
             if not (0 <= c < fq.q):
                 raise ValueError(f"coefficient code {c} out of range for q={fq.q}")
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "fq", fq)
-        object.__setattr__(self, "coeffs", coeffs[:end])
+        _set(self, fq, coeffs)
+
+    @classmethod
+    def _make(cls, fq: FqField, coeffs) -> "FqPoly":
+        """A polynomial from codes known to lie in [0, q): no range check."""
+        out = object.__new__(cls)
+        _set(out, fq, tuple(coeffs))
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("FqPoly is immutable")
@@ -124,7 +139,7 @@ class FqPoly:
         return f"FqPoly({format_poly(self)})"
 
     def _check_same_field(self, other: "FqPoly") -> None:
-        if self.fq != other.fq:
+        if self.fq is not other.fq and self.fq != other.fq:
             raise ValueError("polynomials live over different fields")
 
     # -- ring operations --------------------------------------------------
@@ -135,29 +150,46 @@ class FqPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = fq.add(out[i], c)
-        return FqPoly(fq, out)
+        if fq.e == 1:
+            p = fq.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = fq.add
+            out = [add(x, y) for x, y in zip(a, b)]
+        out += a[len(b):]
+        return FqPoly._make(fq, out)
 
     def __neg__(self) -> "FqPoly":
         fq = self.fq
-        return FqPoly(fq, tuple(fq.neg(c) for c in self.coeffs))
+        return FqPoly._make(fq, [fq.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return self + (-other)
+        self._check_same_field(other)
+        fq = self.fq
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        if fq.e == 1:
+            p = fq.p
+            out = [(x - y) % p for x, y in zip(a, b)]
+            out += [-y % p for y in b[n:]]
+        else:
+            sub, neg = fq.sub, fq.neg
+            out = [sub(x, y) for x, y in zip(a, b)]
+            out += [neg(y) for y in b[n:]]
+        out += a[n:]
+        return FqPoly._make(fq, out)
 
     def scale(self, c: int) -> "FqPoly":
         fq = self.fq
         if c == 0:
             return FqPoly.zero(fq)
-        return FqPoly(fq, tuple(fq.mul(c, a) for a in self.coeffs))
+        return FqPoly._make(fq, [fq.mul(c, a) for a in self.coeffs])
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         self._check_same_field(other)
         if not self or not other:
             return FqPoly.zero(self.fq)
-        return FqPoly(self.fq, _mul(self.fq, list(self.coeffs), list(other.coeffs)))
+        return FqPoly._make(self.fq, _mul(self.fq, list(self.coeffs), list(other.coeffs)))
 
     def __pow__(self, k: int) -> "FqPoly":
         if k < 0:
@@ -182,18 +214,29 @@ class FqPoly:
         if len(rem) <= d:
             return FqPoly.zero(fq), self
         quot = [0] * (len(rem) - d)
-        sparse = [(i, c) for i, c in enumerate(other.coeffs[:-1]) if c]
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            c = fq.mul(c, lead_inv)
-            quot[i - d] = c
-            rem[i] = 0
-            for j, bj in sparse:
-                k = i - d + j
-                rem[k] = fq.sub(rem[k], fq.mul(c, bj))
-        return FqPoly(fq, quot), FqPoly(fq, rem)
+        sparse = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if c]
+        # rem[i] is not cleared once used: only rem[:d] is kept
+        if fq.e == 1:
+            p = fq.p
+            for i in range(len(rem) - 1, d - 1, -1):
+                c = rem[i]
+                if c:
+                    c = c * lead_inv % p
+                    quot[i - d] = c
+                    for j, bj in sparse:
+                        k = i - d + j
+                        rem[k] = (rem[k] - c * bj) % p
+        else:
+            mul, sub = fq.mul, fq.sub
+            for i in range(len(rem) - 1, d - 1, -1):
+                c = rem[i]
+                if c:
+                    c = mul(c, lead_inv)
+                    quot[i - d] = c
+                    for j, bj in sparse:
+                        k = i - d + j
+                        rem[k] = sub(rem[k], mul(c, bj))
+        return FqPoly._make(fq, quot), FqPoly._make(fq, rem[:d])
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
@@ -218,6 +261,14 @@ class FqPoly:
         return acc
 
 
+def _set(poly: FqPoly, fq: FqField, coeffs: tuple[int, ...]) -> None:
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    object.__setattr__(poly, "fq", fq)
+    object.__setattr__(poly, "coeffs", coeffs[:end])
+
+
 def _mul(fq: FqField, a: list[int], b: list[int]) -> list[int]:
     if min(len(a), len(b)) < _SCHOOLBOOK_CUTOFF:
         return _mul_school(fq, a, b)
@@ -235,12 +286,13 @@ def _mul_school(fq: FqField, a: list[int], b: list[int]) -> list[int]:
                         k = i + j
                         out[k] = (out[k] + ai * bj) % p
     else:
+        add, mul = fq.add, fq.mul
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         k = i + j
-                        out[k] = fq.add(out[k], fq.mul(ai, bj))
+                        out[k] = add(out[k], mul(ai, bj))
     return out
 
 
@@ -282,16 +334,17 @@ def poly_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
 
 
 def powmod(base: FqPoly, k: int, mod: FqPoly) -> FqPoly:
-    """base^k reduced mod `mod`, square and multiply."""
+    """base^k reduced mod `mod`, square and multiply from the top bit down."""
     if k < 0:
         raise ValueError("negative exponent")
-    result = FqPoly.one(base.fq) % mod
+    if k == 0:
+        return FqPoly.one(base.fq) % mod
     base = base % mod
-    while k:
-        if k & 1:
+    result = base
+    for bit in bin(k)[3:]:
+        result = result * result % mod
+        if bit == "1":
             result = result * base % mod
-        base = base * base % mod
-        k >>= 1
     return result
 
 

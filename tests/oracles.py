@@ -8,7 +8,9 @@ factorization by trial division, irreducibility by trial division with
 list arithmetic, orders by successive powering, normality by Gaussian
 elimination on the conjugate matrix, minimal annihilators by scanning
 divisors in order, and a generic distinct-degree/equal-degree polynomial
-factorizer to cross-check the cyclotomic coset route.
+factorizer to cross-check the cyclotomic coset route.  The factorizer
+works on coefficient lists through school_mul, school_divmod,
+school_powmod and a list gcd, not through FqPoly arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 
 from knormal.basefield import FqField
 from knormal.ff import FieldContext, FFElement
-from knormal.polyring import FqPoly, poly_gcd, powmod
+from knormal.polyring import FqPoly
 
 
 def trial_division(m: int) -> dict[int, int]:
@@ -202,32 +204,53 @@ def minimal_annihilator(ctx: FieldContext, a: FFElement) -> FqPoly:
 # -- generic polynomial factorization (distinct/equal degree) ----------------
 
 
-def _random_poly(fq: FqField, max_deg: int, rng: random.Random) -> FqPoly:
-    coeffs = [rng.randrange(fq.q) for _ in range(max_deg)] + [1]
-    return FqPoly(fq, coeffs)
+def _pointwise(op, a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return _strip([op(x, y) for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
 
 
-def _split_equal_degree(g: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
-    fq = g.fq
-    if g.degree == d:
-        return [g.monic()]
+def list_add(fq: FqField, a: list[int], b: list[int]) -> list[int]:
+    """Sum of two coefficient lists, coefficient by coefficient."""
+    return _pointwise(fq.add, a, b)
+
+
+def list_sub(fq: FqField, a: list[int], b: list[int]) -> list[int]:
+    """Difference of two coefficient lists, coefficient by coefficient."""
+    return _pointwise(fq.sub, a, b)
+
+
+def _list_monic(fq: FqField, a: list[int]) -> list[int]:
+    inv = fq.inv(a[-1])
+    return [fq.mul(inv, c) for c in a]
+
+
+def _list_gcd(fq: FqField, a: list[int], b: list[int]) -> list[int]:
+    """Monic gcd of two coefficient lists, a nonzero, by Euclid's algorithm."""
+    while b:
+        a, b = b, school_divmod(fq, a, b)[1]
+    return _list_monic(fq, a)
+
+
+def _split_equal_degree(fq: FqField, g: list[int], d: int, rng: random.Random) -> list[list[int]]:
+    deg = len(g) - 1
+    if deg == d:
+        return [_list_monic(fq, g)]
     while True:
-        u = _random_poly(fq, g.degree - 1, rng)
+        u = [rng.randrange(fq.q) for _ in range(deg - 1)] + [1]
         if fq.p == 2:
             # trace splitting polynomial over characteristic 2
-            w = u % g
+            w = school_divmod(fq, u, g)[1]
             acc = w
-            e = fq.e * d
-            for _ in range(e - 1):
-                w = w * w % g
-                acc = (acc + w) % g
-            cand = poly_gcd(acc, g)
+            for _ in range(fq.e * d - 1):
+                w = school_divmod(fq, school_mul(fq, w, w), g)[1]
+                acc = list_add(fq, acc, w)
+            cand = _list_gcd(fq, g, acc)
         else:
-            w = powmod(u, (fq.q**d - 1) // 2, g)
-            cand = poly_gcd(w - FqPoly.one(fq), g)
-        if 0 < cand.degree < g.degree:
-            return _split_equal_degree(cand, d, rng) + _split_equal_degree(
-                g // cand, d, rng
+            w = school_powmod(fq, u, (fq.q**d - 1) // 2, g)
+            cand = _list_gcd(fq, g, list_sub(fq, w, [1]))
+        if 0 < len(cand) - 1 < deg:
+            return _split_equal_degree(fq, cand, d, rng) + _split_equal_degree(
+                fq, school_divmod(fq, g, cand)[0], d, rng
             )
 
 
@@ -240,19 +263,19 @@ def generic_factor_xn_minus_1(fq: FqField, n: int, seed: int = 0) -> list[tuple[
         m //= p
         t += 1
     mult = p**t
-    rest = FqPoly.x_pow_minus_one(fq, m)
-    x = FqPoly.x(fq)
+    rest = [fq.neg(1)] + [0] * (m - 1) + [1]
+    x = [0, 1]
     out: list[tuple[FqPoly, int]] = []
     d = 0
-    while rest.degree > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree:
-            out.append((rest.monic(), mult))
+        if 2 * d > len(rest) - 1:
+            out.append((FqPoly(fq, _list_monic(fq, rest)), mult))
             break
-        h = powmod(x, fq.q**d, rest)
-        g = poly_gcd(h - x, rest)
-        if g.degree > 0:
-            for piece in _split_equal_degree(g, d, rng):
-                out.append((piece, mult))
-            rest = rest // g
+        h = school_powmod(fq, x, fq.q**d, rest)
+        g = _list_gcd(fq, rest, list_sub(fq, h, x))
+        if len(g) > 1:
+            for piece in _split_equal_degree(fq, g, d, rng):
+                out.append((FqPoly(fq, piece), mult))
+            rest = school_divmod(fq, rest, g)[0]
     return sorted(out, key=lambda fm: fm[0].sort_key())

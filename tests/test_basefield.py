@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from knormal.basefield import FqField
+from knormal.basefield import TABLE_MAX_Q, FqField
 from knormal.ff import build_field
+from knormal.polyring import least_irreducible
 
 
 def test_prime_field_matches_int_arithmetic():
@@ -64,3 +65,29 @@ def test_frobenius_fixes_prime_field():
     fq = build_field(3, 3, 1).fq  # q = 27
     for a in fq.elements():
         assert fq.pow(a, 27) == a  # x^q = x on F_q
+
+
+def _digits(a, p, e):
+    return [a // p**j % p for j in range(e)]
+
+
+def _code(digits, p):
+    return sum(d * p**j for j, d in enumerate(digits))
+
+
+# q = 4 ... 256 run on the add/sub/neg tables, 17^2 = 289 on the digit loops
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 3), (2, 8), (17, 2)])
+def test_add_sub_neg_match_digit_arithmetic(p, e):
+    fq = FqField(p, e, least_irreducible(FqField(p), e).coeffs)
+    q = fq.q
+    digits = [_digits(a, p, e) for a in range(q)]
+    for a in range(q):
+        da = digits[a]
+        assert fq.neg(a) == _code([-x % p for x in da], p)
+        for b in range(q):
+            db = digits[b]
+            s = fq.sub(a, b)
+            assert fq.add(a, b) == _code([(x + y) % p for x, y in zip(da, db)], p)
+            assert s == _code([(x - y) % p for x, y in zip(da, db)], p)
+            assert s == fq.add(a, fq.neg(b))
+    assert (fq._add_table is not None) == (q <= TABLE_MAX_Q)

@@ -26,7 +26,15 @@ from knormal.polyring import (
     poly_gcd,
     powmod,
 )
-from oracles import brute_is_irreducible, monic_coeffs, school_divmod, school_mul, school_powmod
+from oracles import (
+    brute_is_irreducible,
+    list_add,
+    list_sub,
+    monic_coeffs,
+    school_divmod,
+    school_mul,
+    school_powmod,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -75,17 +83,22 @@ def test_mixed_fields_rejected():
         divmod(FqPoly(F3, (1, 1)), FqPoly.zero(F3))
 
 
+def field(p, e):
+    return FqField(p) if e == 1 else FqField(p, e, least_irreducible(FqField(p), e).coeffs)
+
+
 # Every field runs both product kernels.  The p >= 2^31 - 1 fields put
-# the Kronecker kernel on Python ints; (17, 3) has q above TABLE_MAX_Q.
+# the Kronecker kernel on Python ints; (2, 8) has q = TABLE_MAX_Q, the
+# largest on the FqField tables, and (17, 2) and (17, 3) have q above it.
 @pytest.mark.parametrize(
     "p,e",
     [
-        (2, 1), (3, 1), (2, 2), (2, 4), (17, 3),
+        (2, 1), (3, 1), (2, 2), (2, 4), (2, 8), (17, 2), (17, 3),
         (2**31 - 1, 1), (4294967291, 1), (2**61 - 1, 1), (2**31 - 1, 2),
     ],
 )
 def test_products_match_school_oracle(p, e):
-    fq = FqField(p) if e == 1 else FqField(p, e, least_irreducible(FqField(p), e).coeffs)
+    fq = field(p, e)
     rng = random.Random(p + e)
     top = fq.q - 1
 
@@ -129,6 +142,43 @@ def test_divmod_reconstructs():
 def test_powmod():
     f = FqPoly(F3, (1, 0, 1))  # x^2 + 1, irreducible over F_3
     assert powmod(FqPoly.x(F3), 9, f) == FqPoly.x(F3)  # x^(q^2) = x mod f
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (3, 2), (17, 2), (2**61 - 1, 1)])
+def test_powmod_edges_match_school_oracle(p, e):
+    fq = field(p, e)
+    q = fq.q
+    rng = random.Random(q)
+
+    def dense(length):
+        return [rng.randrange(q) for _ in range(length - 1)] + [rng.randrange(1, q)]
+
+    ks = [0, 1, 2, q, q**3, rng.getrandbits(69) | 1 << 69]
+    for mod in (dense(1), dense(2), dense(8)):  # constant, linear, degree 7
+        # below, equal to and above the degree of the modulus
+        for base in ([0, 1], dense(len(mod)), dense(3 * len(mod) + 2)):
+            for k in ks:
+                got = powmod(FqPoly(fq, base), k, FqPoly(fq, mod))
+                assert list(got.coeffs) == school_powmod(fq, base, k, mod), (mod, base, k)
+                if len(mod) == 1:
+                    assert not got  # everything is 0 mod a unit, x^0 included
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (2**61 - 1, 1), (3, 2), (2, 4), (17, 2)])
+def test_computed_coefficients_stay_in_range(p, e):
+    # results are built without the constructor's range check
+    fq = field(p, e)
+    rng = random.Random(p * e)
+    for _ in range(20):
+        a = rand_poly(fq, rng.randrange(0, 50), rng)
+        b = rand_poly(fq, rng.randrange(0, 20), rng)
+        quot, rem = divmod(a, b)
+        for f in (a * b, quot, rem, a - b, b - a, a + b, -a):
+            assert all(0 <= c < fq.q for c in f.coeffs)
+        assert list((a - b).coeffs) == list_sub(fq, list(a.coeffs), list(b.coeffs))
+        assert list((b - a).coeffs) == list_sub(fq, list(b.coeffs), list(a.coeffs))
+        assert list((a + b).coeffs) == list_add(fq, list(a.coeffs), list(b.coeffs))
+        assert not (a - a) and (a - b) + b == a
 
 
 def test_eval():
@@ -368,6 +418,12 @@ def test_format_parse_roundtrip():
 
 
 def test_parse_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        FqPoly(F3, [3])
+    with pytest.raises(ValueError):
+        FqPoly(F4, [0, 4, 1])
+    with pytest.raises(ValueError):
+        parse_poly(F3, "[3]")
     with pytest.raises(ValueError):
         parse_poly(F3, "5 + x")
     with pytest.raises(ValueError):
