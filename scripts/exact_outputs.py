@@ -6,8 +6,9 @@ The package and perfbench/workloads.py are imported from CHECKOUT, so
 the same script can be run against two checkouts and the two files
 compared with cmp.  The file holds, for the 36 survey cells, h1, the top
 modulus, the x^n - 1 factor list and every sieve verdict, each field
-built from nothing; the top moduli of the 20 search fields; and a
-sha256 of each Lambda_k of the charpoly round at seed 1.
+built from nothing; the top moduli of the 20 search fields; the x^n - 1
+factor list of every search, census and charpoly field; and a sha256 of
+each Lambda_k of the charpoly round at seed 1.
 """
 
 import dataclasses
@@ -26,17 +27,24 @@ def main(root: str, out_path: str) -> None:
         knormal.ff.build_field.cache_clear()
         return knormal.build_field(p, e, n)
 
-    out = {"survey": {}, "search": {}, "charpoly": {}}
+    def factor_list(fp):
+        return [[list(f.coeffs), m] for f, m in fp.factors]
+
+    out = {"survey": {}, "search": {}, "xn_minus_1": {}, "charpoly": {}}
     for q, n in workloads.Survey.GRID:
         ctx = fresh_field(q, n)
         out["survey"][f"{q},{n}"] = {
             "h1": list(ctx.fq.modulus) if ctx.e > 1 else None,
             "top": list(ctx.top_modulus.coeffs),
-            "xn_minus_1": [[list(f.coeffs), m] for f, m in ctx.xn_minus_1().factors],
+            "xn_minus_1": factor_list(ctx.xn_minus_1()),
             "verdicts": [repr(dataclasses.astuple(knormal.sieve_verdict(ctx, k))) for k in range(1, n)],
         }
     for q, n in workloads.Search.FIELDS:
         out["search"][f"{q},{n}"] = list(fresh_field(q, n).top_modulus.coeffs)
+    charpoly_fields = tuple((q, n) for q, n, _ in workloads.Charpoly.CASES)
+    for q, n in workloads.Search.FIELDS + workloads.Census.FIELDS + charpoly_fields:
+        fp = knormal.factor_xm_minus_1(fresh_field(q, 1).fq, n)
+        out["xn_minus_1"][f"{q},{n}"] = factor_list(fp)
     charpoly = workloads.Charpoly()
     charpoly.setup(1)
     for case in charpoly.round(1, 0):

@@ -58,6 +58,7 @@ import threading
 import numpy as np
 
 from .basefield import FqField, exact_dtype
+from .cyclotomic import factor_xm_minus_1
 from .errors import BudgetError
 from .intfactor import FactorCache, FactoredInt, factor_integer, is_prime
 from .polyring import FactoredPoly, FqPoly, least_irreducible
@@ -308,9 +309,7 @@ class FieldContext:
         """Factorization of x^n - 1 over F_q, computed once."""
         with self._lock:
             if self._xn_minus_1 is None:
-                from . import cyclotomic
-
-                self._xn_minus_1 = cyclotomic.factor_xm_minus_1(self.fq, self.n)
+                self._xn_minus_1 = factor_xm_minus_1(self.fq, self.n)
             return self._xn_minus_1
 
     # -- the F_p-linear layer (see the module docstring) ---------------------
@@ -460,7 +459,8 @@ def is_primitive(ctx: FieldContext, a: FFElement, cache: FactorCache | None = No
 def find_primitive(ctx: FieldContext, seed: int | None = None, cache: FactorCache | None = None) -> FFElement:
     """A primitive element: index-order scan, or seeded sampling if seed given."""
     if seed is None:
-        i = 1
+        # for n > 1 the indices below q are F_q scalars, of order dividing q - 1
+        i = ctx.q if ctx.n > 1 else 1
         while True:
             a = ctx.from_index(i)
             if is_primitive(ctx, a, cache=cache):

@@ -236,7 +236,11 @@ def _split_equal_degree(fq: FqField, g: list[int], d: int, rng: random.Random) -
     if deg == d:
         return [_list_monic(fq, g)]
     while True:
-        u = [rng.randrange(fq.q) for _ in range(deg - 1)] + [1]
+        # any residue mod g, not only monic u of degree deg - 1: for deg = 2
+        # that would be u = x + r, and as the trace is additive for p = 2,
+        # Tr(xi1 + r) - Tr(xi2 + r) would not depend on r, so two roots of
+        # equal trace would never be separated
+        u = [rng.randrange(fq.q) for _ in range(deg)]
         if fq.p == 2:
             # trace splitting polynomial over characteristic 2
             w = school_divmod(fq, u, g)[1]

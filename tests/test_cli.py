@@ -73,6 +73,18 @@ def test_factor_xn(capsys):
     ]
 
 
+def test_factor_xn_large_characteristic(capsys):
+    # q = 2^31 - 1 is 3 mod 4, so x^4 - 1 keeps the factor x^2 + 1 over F_q
+    code, out, _ = run(capsys, ["factor-xn", "--q", "2147483647", "--n", "4"])
+    assert code == 0
+    assert out.splitlines() == [
+        "xn_minus_1 q=2147483647 n=4",
+        "(1 + x)^1",
+        "(2147483646 + x)^1",
+        "(1 + x^2)^1",
+    ]
+
+
 def test_construct_command(capsys):
     code, out, _ = run(capsys, ["construct", "--q", "5", "--n", "7", "--f", "[4,1]", "--seed", "1"])
     assert code == 0

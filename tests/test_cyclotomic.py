@@ -3,7 +3,8 @@ import math
 import pytest
 
 from knormal.basefield import FqField
-from knormal.cyclotomic import factor_xm_minus_1
+from knormal.cyclotomic import _proper_divisor, factor_xm_minus_1
+from knormal.errors import InternalCheckError
 from knormal.ff import build_field
 from knormal.polyring import FqPoly, is_irreducible
 
@@ -78,10 +79,24 @@ def test_factor_count_equals_coset_count(p, e, n):
 
 @pytest.mark.parametrize(
     "p,e,n",
-    [(2, 1, 9), (2, 1, 12), (3, 1, 8), (5, 1, 6), (2, 2, 5), (3, 2, 4), (7, 1, 6)],
+    [
+        (2, 1, 9), (2, 1, 12), (3, 1, 8), (5, 1, 6), (2, 2, 5), (3, 2, 4), (7, 1, 6),
+        (2, 2, 3), (2, 2, 15), (2, 4, 5),
+        # a large characteristic: the scan over a in F_p must find its
+        # gcds long before p steps
+        (2**61 - 1, 1, 7), (2**61 - 1, 1, 12),
+    ],
 )
 def test_agrees_with_generic_factorization(p, e, n):
     fq = build_field(p, e, 1).fq
     ours = factor_xm_minus_1(fq, n).factors
     theirs = generic_factor_xn_minus_1(fq, n, seed=42)
     assert list(ours) == theirs
+
+
+def test_unsplittable_piece_raises_within_p_steps():
+    # x^2 + 1 is irreducible over F_3, so no a gives a proper gcd: the
+    # scan over a must give up after p steps instead of looping
+    fq = FqField(3)
+    with pytest.raises(InternalCheckError):
+        _proper_divisor(FqPoly(fq, (1, 0, 1)), FqPoly.x(fq))

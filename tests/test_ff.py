@@ -285,6 +285,14 @@ def test_find_primitive_deterministic():
     assert is_primitive(ctx, b)
 
 
+@pytest.mark.parametrize("p,e,n", [(7, 1, 1), (2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_find_primitive_is_first_primitive_index(p, e, n):
+    ctx = build_field(p, e, n)
+    orders = (slow_multiplicative_order(ctx, ctx.from_index(i)) for i in range(1, ctx.order))
+    first = 1 + next(i for i, t in enumerate(orders) if t == ctx.order - 1)
+    assert ctx.index(find_primitive(ctx)) == first
+
+
 def test_enumeration_cap():
     ctx = build_field(2, 1, 21)  # 2^21 elements, over the cap
     with pytest.raises(BudgetError):
