@@ -7,14 +7,19 @@ the same script can be run against two checkouts and the two files
 compared with cmp.  The file holds, for the 36 survey cells, h1, the top
 modulus, the x^n - 1 factor list and every sieve verdict, each field
 built from nothing; the top moduli of the 20 search fields; the x^n - 1
-factor list of every search, census and charpoly field; and a sha256 of
-each Lambda_k of the charpoly round at seed 1.
+factor list of every search, census and charpoly field; a sha256 of
+each Lambda_k of the charpoly round at seed 1; and, for the 21 census
+fields at seed 1, the census counts, sha256 digests of the scan's order
+codes, order degrees and primitive mask, and the n_f figures of
+brute_census(ctx, f) for the last irreducible factor f of x^n - 1.
 """
 
 import dataclasses
 import hashlib
 import json
 import sys
+
+import numpy as np
 
 
 def main(root: str, out_path: str) -> None:
@@ -30,7 +35,10 @@ def main(root: str, out_path: str) -> None:
     def factor_list(fp):
         return [[list(f.coeffs), m] for f, m in fp.factors]
 
-    out = {"survey": {}, "search": {}, "xn_minus_1": {}, "charpoly": {}}
+    def array_sha(arr):
+        return hashlib.sha256(np.asarray(arr, dtype=np.int64).tobytes()).hexdigest()
+
+    out = {"survey": {}, "search": {}, "xn_minus_1": {}, "charpoly": {}, "census": {}}
     for q, n in workloads.Survey.GRID:
         ctx = fresh_field(q, n)
         out["survey"][f"{q},{n}"] = {
@@ -50,6 +58,25 @@ def main(root: str, out_path: str) -> None:
     for case in charpoly.round(1, 0):
         digest = hashlib.sha256(repr(charpoly.run(case).coeffs).encode()).hexdigest()
         out["charpoly"][",".join(map(str, case))] = digest
+    census = workloads.Census()
+    census.setup(1)
+    for key in census.fields:
+        ctx = census.ctx[key]
+        rec = census.run(key)
+        scan = knormal.normality.get_scan(ctx)
+        f = ctx.xn_minus_1().factors[-1][0]
+        nf = knormal.brute_census(ctx, f)
+        out["census"][",".join(map(str, key))] = {
+            "counts": list(rec.counts),
+            "primitive_counts": list(rec.primitive_counts),
+            "order_code": array_sha(scan.order_code),
+            "order_degree": array_sha(scan.order_degree),
+            "is_primitive_mask": array_sha(scan.is_primitive_mask),
+            "f": list(f.coeffs),
+            "nf_preimages": nf.nf_preimages,
+            "nf_distinct_images": nf.nf_distinct_images,
+        }
+        knormal.clear_scan(ctx)
     with open(out_path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
 

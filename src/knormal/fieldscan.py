@@ -3,18 +3,25 @@
 Everything in F_{q^n} is F_p-linear once elements are flattened to their
 e*n base-p digits, and the flat digit vector of an element is exactly the
 base-p digit vector of its enumeration index.  The maps this package scans
-with (x -> x^(q^i), multiplication by a fixed element, any L_f) are all
-F_p-linear, so applying one to every element at once is an integer matrix
-product mod p on row chunks.  No floating point is involved anywhere.
-Chunks take their integer width from ff.exact_dtype with the bound
-e*n*(p-1)^2 of one row @ matrix product (see the ff module docstring).
+with (multiplication by a fixed element, any L_f) are all F_p-linear, and
+no floating point is involved anywhere.
+
+Every whole-field map goes through two half-digit tables, the table trick
+of the "method of four Russians" (Arlazarov, Dinic, Kronrod and Faradzev,
+1970).  Split the e*n digits at k = floor(e*n/2), so index i is
+a + p^k b with a = i mod p^k, b = i div p^k.  For a matrix M the image
+digits of i are lo[a] + hi[b] mod p, where lo = (digits of 0..p^k - 1) @
+M[:k] and hi = (digits of 0..p^(e*n-k) - 1) @ M[k:], both reduced mod p.
+A table entry sums at most e*n products, bound e*n*(p-1)^2, and the sum of
+two reduced entries is bound by 2(p-1); both widths come from
+ff.exact_dtype (see the ff module docstring).
 
 A FieldScan computes, for every element of a field within the enumeration
 cap:
 
   * the exact factor-exponent code of its F_q-order, hence its normality;
-  * its discrete log against a deterministically chosen generator, hence
-    its multiplicative order and primitivity.
+  * the powers of a deterministically chosen generator, hence its
+    primitivity.
 
 The order code comes from vanishing tests.  For each factor P^m of
 x^n - 1 and c = 0..m-1, test (P, m, c) asks whether L_g kills the element,
@@ -25,14 +32,20 @@ only its pivot columns.  As an F_q[x]-module F_{q^n} is F_q[x]/(x^n - 1)
 (the normal basis theorem), so the image of L_g is g F_q[x]/(x^n - 1), of
 dimension (m-c) deg P over F_q, and test (P, m, c) has rank e (m-c) deg P;
 a pivot search that finds another count raises InternalCheckError.
-All kept columns are stacked into one matrix of e * sum_P deg P * m(m+1)/2
-columns (e*n when x^n - 1 is squarefree), so each chunk is one
-row @ stacked product, reduced mod p in place, and one
-logical_or.reduceat over the block offsets gives every test's verdict.
-Every stacked column is a column of a test matrix, so the width bound
-stays e*n*(p-1)^2.  A chunk has as many rows as keep its product at most
-_CHUNK * e*n entries, the size of a full-rank test's product on _CHUNK
-rows, so stacking adds no memory.
+All kept columns are stacked into one matrix and put into half tables.
+Test t vanishes on index i exactly when its block of lo[a] equals its
+block of -hi[b] mod p.  Read as base-p numbers, each block is one key
+below p^rank <= q^n <= ENUMERATION_CAP, so every test is one integer
+comparison of a low key with a high key, and a chunk of consecutive high
+digit values is one broadcast comparison of the two key tables.
+
+The generator's powers come by doubling: gamma^(s+j) = gamma^s gamma^j,
+so the indices of gamma^s .. gamma^(2s-1) are the images of those of
+gamma^0 .. gamma^(s-1) under multiplication by gamma^s, one table map per
+doubling.  They must be N = q^n - 1 distinct nonzero indices, else
+InternalCheckError.  gamma^j is primitive exactly when gcd(j, N) = 1, so
+the primitive mask is a sieve: strike the multiples of every prime r | N
+from the exponents, and mark the powers that remain.
 
 Scans process contiguous index ranges and write disjoint slices, so
 results are independent of chunking and thread schedule.
@@ -40,7 +53,6 @@ results are independent of chunking and thread schedule.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,7 +84,7 @@ def _basis_columns(mat: np.ndarray, p: int) -> list[int]:
 
 
 class FieldScan:
-    """Per-element order codes, degrees and discrete logs for one field."""
+    """Per-element order codes, degrees, generator powers and primitivity."""
 
     def __init__(self, ctx: FieldContext, threads: int = 1):
         if ctx.order > ENUMERATION_CAP:
@@ -85,20 +97,40 @@ class FieldScan:
         self.size = ctx.order
         self.ppow = self.p ** np.arange(self.en, dtype=np.int64)  # index = digits @ ppow
         self.dtype = exact_dtype(self.en * (self.p - 1) ** 2)
+        self._sum_dtype = exact_dtype(2 * (self.p - 1))
+        self._red = (np.arange(2 * self.p - 1) % self.p).astype(self._sum_dtype)  # sum mod p
+        self._index_dtype = exact_dtype(self.size - 1)
+        k = self.en // 2
+        self._half_digits = tuple(
+            (np.arange(self.p**m)[:, None] // self.ppow[:m] % self.p).astype(self.dtype)
+            for m in (k, self.en - k)
+        )
         self._build_order_codes(threads)
-        self._build_logs()
+        self._build_powers()
 
     def matrix_of_associate(self, f: FqPoly) -> np.ndarray:
-        """Matrix of a -> L_f(a), in the chunk-product dtype."""
+        """Matrix of a -> L_f(a), in the table-product dtype."""
         return self.ctx.associate_matrix(f).astype(self.dtype)
 
-    def digit_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Flat digit rows of the elements at the given indices."""
-        return (indices[:, None] // self.ppow % self.p).astype(self.dtype)
+    def _half_tables(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lo, hi with the image digits of index i under mat equal to
+        (lo[i mod p^k] + hi[i div p^k]) mod p (see the module docstring)."""
+        low, high = self._half_digits
+        k = low.shape[1]
+        return tuple(
+            (digits @ rows % self.p).astype(self._sum_dtype)
+            for digits, rows in ((low, mat[:k]), (high, mat[k:]))
+        )
 
     def image_indices(self, mat: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Indices of the images of the elements at `indices` under mat."""
-        return (self.digit_rows(indices) @ mat % self.p).astype(np.int64) @ self.ppow
+        lo, hi = self._half_tables(mat)
+        out = np.empty(len(indices), dtype=self._index_dtype)
+        for c in range(0, len(indices), _CHUNK):
+            b, a = np.divmod(indices[c : c + _CHUNK], len(lo))
+            rows = np.take(lo, a, axis=0) + np.take(hi, b, axis=0)
+            out[c : c + _CHUNK] = np.take(self._red, rows) @ self.ppow
+        return out
 
     # -- order codes ---------------------------------------------------------
 
@@ -116,7 +148,7 @@ class FieldScan:
         # Test (P, m, c), c = 0..m-1, keeps the pivot columns of the matrix
         # of L_{(x^n-1)/P^(m-c)}; their count is the rank the module
         # structure fixes (see the module docstring).
-        blocks, offsets, test_strides, test_degs = [], [], [], []
+        blocks, offsets, colpow, test_strides, test_degs = [], [], [], [], []
         width = 0
         for (P, m), stride in zip(fp.factors, strides):
             g = full
@@ -132,12 +164,20 @@ class FieldScan:
                     )
                 blocks.append(mat[:, cols])
                 offsets.append(width)
+                colpow.append(self.ppow[:rank])
                 width += rank
                 test_strides.append(stride)
                 test_degs.append(P.degree)
                 g = g * P
-        stacked = np.concatenate(blocks, axis=1)
-        offsets = np.array(offsets)
+        lo, hi = self._half_tables(np.concatenate(blocks, axis=1))
+        colpow = np.concatenate(colpow)
+
+        def keys(table: np.ndarray) -> np.ndarray:
+            # a key is below p^rank <= q^n, so it has the width of an index
+            return np.add.reduceat(table * colpow, offsets, axis=1).astype(self._index_dtype)
+
+        # test t vanishes on a + p^k b iff klo[a, t] == khi[b, t]
+        klo, khi = keys(lo), keys((-hi) % self.p)
         # test (P, m, c) vanishes iff P's exponent in the order is at most c,
         # so that exponent is the number of P-tests that do not vanish, and
         # the code and the degree are sums over the tests that do not vanish
@@ -145,23 +185,22 @@ class FieldScan:
         degree = np.zeros(self.size, dtype=exact_dtype(ctx.n))
         test_strides = np.array(test_strides, dtype=code.dtype)
         test_degs = np.array(test_degs, dtype=degree.dtype)
-        chunk = max(1, _CHUNK * self.en // width)
+        L, tests = klo.shape
+        per = max(1, _CHUNK // L)  # high digit values per chunk
 
-        def run_chunk(lo: int) -> None:
-            hi = min(lo + chunk, self.size)
-            prod = self.digit_rows(np.arange(lo, hi, dtype=np.int64)) @ stacked
-            np.remainder(prod, self.p, out=prod)
-            alive = np.logical_or.reduceat(prod, offsets, axis=1)
-            code[lo:hi] = alive @ test_strides
-            degree[lo:hi] = alive @ test_degs
+        def run_chunk(b0: int) -> None:
+            b1 = min(b0 + per, len(khi))
+            alive = (klo != khi[b0:b1, None]).reshape(-1, tests)
+            code[b0 * L : b1 * L] = alive @ test_strides
+            degree[b0 * L : b1 * L] = alive @ test_degs
 
-        starts = range(0, self.size, chunk)
+        starts = range(0, len(khi), per)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(run_chunk, starts))
         else:
-            for lo in starts:
-                run_chunk(lo)
+            for b0 in starts:
+                run_chunk(b0)
         self.order_code = code
         self.order_degree = degree
 
@@ -170,57 +209,29 @@ class FieldScan:
         exps = self.ctx.xn_minus_1().exponents(f)
         return sum(e * s for e, s in zip(exps, self.code_strides))
 
-    # -- discrete logs -------------------------------------------------------
+    # -- generator powers and primitivity -------------------------------------
 
-    def _build_logs(self) -> None:
+    def _build_powers(self) -> None:
         ctx = self.ctx
         N = self.size - 1
-        self.group_order = N
-        log = np.full(self.size, -1, dtype=np.int32)
-        exp = np.empty(N, dtype=np.int32)
         gamma = find_primitive(ctx)
-        G = ctx.linear_matrix(lambda a: a * gamma).astype(self.dtype)
-        B = max(1, math.isqrt(N - 1) + 1) if N > 1 else 1
-        rows = np.empty((min(B, N), self.en), dtype=self.dtype)
-        r = ctx.flat_digits(ctx.one()).astype(self.dtype)
-        for j in range(rows.shape[0]):
-            rows[j] = r
-            r = r @ G % self.p
-        H = np.eye(self.en, dtype=self.dtype)
-        step, base = G, B
-        while base:
-            if base & 1:
-                H = H @ step % self.p
+        step = ctx.linear_matrix(lambda a: a * gamma).astype(self.dtype)
+        exp = np.empty(N, dtype=self._index_dtype)  # exp[j] = index of gamma^j
+        exp[0] = 1
+        s = 1
+        while s < N:  # step is the matrix of multiplication by gamma^s
+            t = min(s, N - s)
+            exp[s : s + t] = self.image_indices(step, exp[:t])
+            s += t
             step = step @ step % self.p
-            base >>= 1
-        j0 = 0
-        while j0 < N:
-            take = min(B, N - j0)
-            idx = rows[:take] @ self.ppow
-            log[idx] = np.arange(j0, j0 + take)
-            exp[j0 : j0 + take] = idx
-            j0 += take
-            if j0 < N:
-                rows = rows @ H % self.p
-        if int((log >= 0).sum()) != N:
-            raise InternalCheckError("discrete log table incomplete; generator not primitive?")
-        self.log = log
+        seen = np.zeros(self.size, dtype=bool)
+        seen[exp] = True
+        if seen[0] or int(seen.sum()) != N:
+            raise InternalCheckError("generator powers miss a nonzero element; generator not primitive?")
+        coprime = np.ones(N, dtype=bool)
+        for r, _ in ctx.qn_minus_1().factors:
+            coprime[::r] = False
+        mask = np.zeros(self.size, dtype=bool)
+        mask[exp[coprime]] = True
         self.exp = exp
-        self.is_primitive_mask = (log >= 0) & (np.gcd(log, N if N else 1) == 1)
-
-    # -- bulk polynomial evaluation -------------------------------------------
-
-    def eval_poly_at(self, f: FqPoly, indices: np.ndarray) -> np.ndarray:
-        """Value indices of f (coefficients in F_q) at nonzero element indices."""
-        if (indices == 0).any():
-            raise ValueError("evaluation points must be nonzero")
-        N = self.group_order
-        loga = self.log[indices].astype(np.int64)
-        acc = np.zeros((len(indices), self.en), dtype=exact_dtype(len(f.coeffs) * (self.p - 1)))
-        for i, c in enumerate(f.coeffs):
-            if c == 0:
-                continue
-            # scalar c embeds at element index c, so log[c] is its log
-            term_idx = self.exp[(int(self.log[c]) + i * loga) % N].astype(np.int64)
-            acc += (term_idx[:, None] // self.ppow[None, :]) % self.p
-        return (acc % self.p) @ self.ppow
+        self.is_primitive_mask = mask

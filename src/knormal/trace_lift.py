@@ -70,20 +70,11 @@ def projection_check(ctx: FieldContext, s: int, f: FqPoly, threads: int = 1) -> 
     want_top = scan.order_code == scan.code_of_divisor(top_target)
 
     tmat = scan.matrix_of_associate(trace_poly(ctx.fq, ctx.n, ps))
-    image_ok = np.zeros(scan.size, dtype=bool)
-    beta_cache: dict[int, bool] = {}
-    chunk = 1 << 15
-    for lo in range(0, scan.size, chunk):
-        idx = np.arange(lo, min(lo + chunk, scan.size), dtype=np.int64)
-        images = scan.image_indices(tmat, idx)
-        for b in np.unique(images):
-            if int(b) not in beta_cache:
-                beta = ctx.from_index(int(b))
-                beta_cache[int(b)] = fq_order(ctx, beta, annihilator=sub_ann) == sub_target
-            ok = beta_cache[int(b)]
-            if ok:
-                image_ok[lo + np.nonzero(images == b)[0]] = True
-    return bool((want_top == image_ok).all())
+    betas, beta_of = np.unique(scan.image_indices(tmat, np.arange(scan.size)), return_inverse=True)
+    beta_ok = np.array(
+        [fq_order(ctx, ctx.from_index(int(b)), annihilator=sub_ann) == sub_target for b in betas]
+    )
+    return bool((want_top == beta_ok[beta_of]).all())
 
 
 def lift_by_trace(

@@ -7,8 +7,9 @@ FqField scalar arithmetic (no digit layout, no packed integers),
 factorization by trial division, irreducibility by trial division with
 list arithmetic, orders by successive powering, normality by Gaussian
 elimination on the conjugate matrix, minimal annihilators by scanning
-divisors in order, and a generic distinct-degree/equal-degree polynomial
-factorizer to cross-check the cyclotomic coset route.  The factorizer
+divisors in order, polynomial values from log/exp tables built by
+successive products, and a generic distinct-degree/equal-degree
+polynomial factorizer to cross-check the cyclotomic coset route.  The factorizer
 works on coefficient lists through school_mul, school_divmod,
 school_powmod and a list gcd, not through FqPoly arithmetic.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from knormal.basefield import FqField
 from knormal.ff import FieldContext, FFElement
@@ -141,6 +144,45 @@ def slow_multiplicative_order(ctx: FieldContext, a: FFElement) -> int:
         b = b * a
         t += 1
     return t
+
+
+class LogTables:
+    """Discrete log and exponential tables of F_{q^n} by element index.
+
+    The generator is the first index whose successive FFElement products
+    run through all q^n - 1 nonzero elements before returning to one."""
+
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
+        self.N = ctx.order - 1
+        one = ctx.one()
+        for i in range(1, ctx.order):
+            g = ctx.from_index(i)
+            exp, b = [1], g
+            while b != one:
+                exp.append(ctx.index(b))
+                b = b * g
+            if len(exp) == self.N:
+                break
+        self.exp = np.array(exp, dtype=np.int64)
+        self.log = np.full(ctx.order, -1, dtype=np.int64)
+        self.log[self.exp] = np.arange(self.N)
+
+    def evaluate(self, f: FqPoly, points: np.ndarray) -> np.ndarray:
+        """Indices of f(a) (coefficients in F_q) at nonzero element indices:
+        the digit-wise sum mod p of the terms c_i a^i, each read off the
+        tables (the scalar c has element index c)."""
+        ctx = self.ctx
+        p = ctx.p
+        ppow = p ** np.arange(ctx.flat_dim, dtype=np.int64)
+        loga = self.log[points]
+        assert (loga >= 0).all(), "evaluation points must be nonzero"
+        acc = np.zeros((len(points), ctx.flat_dim), dtype=np.int64)
+        for i, c in enumerate(f.coeffs):
+            if c:
+                term = self.exp[(self.log[c] + i * loga) % self.N]
+                acc += term[:, None] // ppow % p
+        return acc % p @ ppow
 
 
 def conjugate_corank(ctx: FieldContext, a: FFElement) -> int:

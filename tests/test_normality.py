@@ -438,13 +438,26 @@ def test_census_fields_match_counting(p, e, n):
     assert sum(rec.primitive_counts) == ctx.qn_minus_1().phi()
 
 
-def test_scan_matches_scalar_samples():
-    ctx = build_field(3, 1, 5)
+# odd and even e*n, p = 2 and p > 2, e = 1 and e > 1
+@pytest.mark.parametrize(
+    "p,e,n", [(3, 1, 5), (2, 3, 3), (3, 3, 1), (7, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)]
+)
+def test_scan_matches_scalar_on_every_element(p, e, n):
+    ctx = build_field(p, e, n)
     scan = get_scan(ctx)
-    rng = random.Random(11)
-    for _ in range(40):
-        i = rng.randrange(1, ctx.order)
+    f = FqPoly(ctx.fq, [(3 * i + 1) % ctx.q for i in range(n)])
+    images = scan.image_indices(scan.matrix_of_associate(f), np.arange(ctx.order))
+    for i in range(ctx.order):
         a = ctx.from_index(i)
         assert int(scan.order_degree[i]) == fq_order(ctx, a).degree
         assert bool(scan.is_primitive_mask[i]) == is_primitive(ctx, a)
+        assert int(images[i]) == ctx.index(q_associate(ctx, f, a))
     clear_scan(ctx)
+
+
+def test_generator_powers_are_checked(monkeypatch):
+    # gamma^2 has order 13 in F_27^*, so its powers repeat
+    real = fieldscan.find_primitive
+    monkeypatch.setattr(fieldscan, "find_primitive", lambda ctx: real(ctx) ** 2)
+    with pytest.raises(InternalCheckError):
+        fieldscan.FieldScan(build_field(3, 1, 3))
