@@ -37,10 +37,11 @@ reach before its reduction mod p, and Python-int object arrays above
     bound (2n-1)(2e-1)(p-1)^2;
   * the flat views: a row @ matrix sums e*n products, and L_f adds at most
     n of them, bound n * e*n * (p-1)^2;
-  * whole-field scan chunks (fieldscan): one row @ matrix, bound
-    e*n*(p-1)^2, also for the stacked order tests, since every stacked
-    column is a column of an L_f matrix; their pivot search multiplies
-    two reduced entries, bound (p-1)^2;
+  * whole-field scans (fieldscan): a half-digit table, digit rows @ a
+    reduced matrix, and a product of two reduced matrices are bound by
+    e*n*(p-1)^2; an image digit sums two reduced table entries, bound
+    2(p-1); order-test keys and element indices are below q^n; the pivot
+    search multiplies two reduced entries, bound (p-1)^2;
   * F_q[x] products by Kronecker substitution (polyring): a packed field
     sums at most min(len_a, len_b) * e products, bound that times (p-1)^2.
 

@@ -1,27 +1,19 @@
 """Exact whole-field scans, vectorized over element indices.
 
-Everything in F_{q^n} is F_p-linear once elements are flattened to their
-e*n base-p digits, and the flat digit vector of an element is exactly the
-base-p digit vector of its enumeration index.  The maps this package scans
-with (multiplication by a fixed element, any L_f) are all F_p-linear, and
-no floating point is involved anywhere.
-
-Every whole-field map goes through two half-digit tables, the table trick
-of the "method of four Russians" (Arlazarov, Dinic, Kronrod and Faradzev,
-1970).  Split the e*n digits at k = floor(e*n/2), so index i is
-a + p^k b with a = i mod p^k, b = i div p^k.  For a matrix M the image
-digits of i are lo[a] + hi[b] mod p, where lo = (digits of 0..p^k - 1) @
-M[:k] and hi = (digits of 0..p^(e*n-k) - 1) @ M[k:], both reduced mod p.
-A table entry sums at most e*n products, bound e*n*(p-1)^2, and the sum of
-two reduced entries is bound by 2(p-1); both widths come from
-ff.exact_dtype (see the ff module docstring).
+The flat digit vector of an element (its e*n base-p digits) is the base-p
+digit vector of its enumeration index, and every map scanned here
+(multiplication by a fixed element, any L_f) is an F_p-linear matrix M.
+Each is applied through two half-digit tables, the table trick of the
+"method of four Russians" (Arlazarov, Dinic, Kronrod and Faradzev, 1970):
+with k = floor(e*n/2) and i = a + p^k b, the image digits of index i are
+lo[a] + hi[b] mod p, where lo = (digits of 0..p^k - 1) @ M[:k] and
+hi = (digits of 0..p^(e*n-k) - 1) @ M[k:], both reduced mod p.  A table
+entry is bound by e*n*(p-1)^2 and an image digit by 2(p-1) before its
+reduction (widths from ff.exact_dtype); no floating point is involved.
 
 A FieldScan computes, for every element of a field within the enumeration
-cap:
-
-  * the exact factor-exponent code of its F_q-order, hence its normality;
-  * the powers of a deterministically chosen generator, hence its
-    primitivity.
+cap, the exact factor-exponent code of its F_q-order (hence its
+normality) and whether it is primitive.
 
 The order code comes from vanishing tests.  For each factor P^m of
 x^n - 1 and c = 0..m-1, test (P, m, c) asks whether L_g kills the element,
@@ -31,21 +23,18 @@ exactly when it kills an F_p basis of those columns, so each test keeps
 only its pivot columns.  As an F_q[x]-module F_{q^n} is F_q[x]/(x^n - 1)
 (the normal basis theorem), so the image of L_g is g F_q[x]/(x^n - 1), of
 dimension (m-c) deg P over F_q, and test (P, m, c) has rank e (m-c) deg P;
-a pivot search that finds another count raises InternalCheckError.
-All kept columns are stacked into one matrix and put into half tables.
-Test t vanishes on index i exactly when its block of lo[a] equals its
-block of -hi[b] mod p.  Read as base-p numbers, each block is one key
-below p^rank <= q^n <= ENUMERATION_CAP, so every test is one integer
-comparison of a low key with a high key, and a chunk of consecutive high
-digit values is one broadcast comparison of the two key tables.
+a pivot search that finds another count raises InternalCheckError.  The
+kept columns of all tests are stacked into one matrix for the tables.
+Test t vanishes on a + p^k b exactly when its block of lo[a] equals its
+block of -hi[b] mod p; read as a base-p number, each block is one key
+below p^rank <= q^n <= ENUMERATION_CAP.  So a chunk of consecutive high
+digit values is one broadcast comparison of low keys with high keys.
 
-The generator's powers come by doubling: gamma^(s+j) = gamma^s gamma^j,
-so the indices of gamma^s .. gamma^(2s-1) are the images of those of
-gamma^0 .. gamma^(s-1) under multiplication by gamma^s, one table map per
-doubling.  They must be N = q^n - 1 distinct nonzero indices, else
-InternalCheckError.  gamma^j is primitive exactly when gcd(j, N) = 1, so
-the primitive mask is a sieve: strike the multiples of every prime r | N
-from the exponents, and mark the powers that remain.
+The powers of a generator gamma come by doubling: the indices of
+gamma^s .. gamma^(2s-1) are the images of those of gamma^0 .. gamma^(s-1)
+under multiplication by gamma^s.  They must be q^n - 1 distinct nonzero
+indices, else InternalCheckError.  gamma^j is primitive exactly when
+gcd(j, q^n - 1) = 1, so the primitive mask is a sieve over the exponents.
 
 Scans process contiguous index ranges and write disjoint slices, so
 results are independent of chunking and thread schedule.
