@@ -11,12 +11,17 @@ factor list of every search, census and charpoly field; a sha256 of
 each Lambda_k of the charpoly round at seed 1; and, for the 21 census
 fields at seed 1, the census counts, sha256 digests of the scan's order
 codes, order degrees and primitive mask, and the n_f figures of
-brute_census(ctx, f) for the last irreducible factor f of x^n - 1.
+brute_census(ctx, f) for the last irreducible factor f of x^n - 1.  For
+the order tests it holds the coefficients of every alpha of the search
+round at seed 1, the multiplicative orders of 50 seeded random elements
+of each search field, find_primitive of each census field at seed 1, and
+the Artin-Schreier records of conjecture.DEFAULT_PRIMES.
 """
 
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 
 import numpy as np
@@ -38,7 +43,10 @@ def main(root: str, out_path: str) -> None:
     def array_sha(arr):
         return hashlib.sha256(np.asarray(arr, dtype=np.int64).tobytes()).hexdigest()
 
-    out = {"survey": {}, "search": {}, "xn_minus_1": {}, "charpoly": {}, "census": {}}
+    out = {
+        "survey": {}, "search": {}, "xn_minus_1": {}, "charpoly": {}, "census": {},
+        "search_alpha": [], "search_orders": {}, "census_primitive": {}, "artin_schreier": [],
+    }
     for q, n in workloads.Survey.GRID:
         ctx = fresh_field(q, n)
         out["survey"][f"{q},{n}"] = {
@@ -77,6 +85,20 @@ def main(root: str, out_path: str) -> None:
             "nf_distinct_images": nf.nf_distinct_images,
         }
         knormal.clear_scan(ctx)
+    search = workloads.Search()
+    search.setup(1)
+    for inp in search.round(1, 0):
+        out["search_alpha"].append([repr(inp), list(search.run(inp).coeffs)])
+    for key, ctx in search.ctx.items():
+        rng = random.Random(f"orders:{key}")
+        elements = (ctx.random_element(rng) for _ in range(50))
+        out["search_orders"][",".join(map(str, key))] = [
+            knormal.multiplicative_order(ctx, a) if a else 0 for a in elements
+        ]
+    for key, ctx in census.ctx.items():
+        out["census_primitive"][",".join(map(str, key))] = list(knormal.find_primitive(ctx).coeffs)
+    for p in knormal.conjecture.DEFAULT_PRIMES:
+        out["artin_schreier"] += [repr(rec) for rec in knormal.conjecture.artin_schreier_check(p)]
     with open(out_path, "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
 

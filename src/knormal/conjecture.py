@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .ff import FieldContext, field_with_modulus, is_primitive, multiplicative_order
+from .ff import FieldContext, field_with_modulus, multiplicative_order
 from .intfactor import FactorCache, factor_integer, is_prime
 from .normality import fq_order, normality_index, q_associate
 from .polyring import FqPoly
@@ -97,8 +97,8 @@ def artin_schreier_check(
                 ArtinSchreierRecord(p, a, True, k, None, None, None, "untested")
             )
             continue
-        prim = is_primitive(ctx, alpha, cache=cache)
         order = multiplicative_order(ctx, alpha, cache=cache)
+        prim = order == fi.value
         records.append(
             ArtinSchreierRecord(
                 p, a, True, k, prim, order, str(fi), "ok"

@@ -10,8 +10,17 @@ Products in F_{q^n} are one exact F_p kernel on basefield's digit layout
 with v as the list variable: a product of two digit arrays (np.convolve)
 has u-degree at most 2e-2 in every v-slot; after reducing mod p, one
 precomputed F_p matrix (the fold) maps every monomial u^j v^i, j < 2e-1,
-i < 2n-1, to the digits of its reduction mod h1 and h2.  Powering encodes
-once and runs the whole square-and-multiply chain on digit arrays.
+i < 2n-1, to the digits of its reduction mod h1 and h2.
+
+Powers are one square-and-multiply helper on digit arrays (_pow_digits),
+which FFElement.__pow__ and the order tests share.  Element orders are
+tested through one product tree of cofactor exponents (_order_tree):
+with N = q^n - 1, a node that holds pairwise coprime parts S of N and
+b = a^(N/prod S) descends into each half of S with b raised to the
+product of the other half, so every leaf r holds a^(N/r) without a
+full-size exponent per leaf.  is_primitive walks the primes from
+a^(N/rad N) and stops at the first node that is one; multiplicative_order
+walks the prime powers from a and finds each leaf's r-part of the order.
 
 Every other map this package applies to F_{q^n} is F_p-linear: the q-power
 map, multiplication by an F_q scalar, and above all the q-associate
@@ -53,6 +62,7 @@ contexts may be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import threading
 
@@ -60,7 +70,7 @@ import numpy as np
 
 from .basefield import FqField, exact_dtype
 from .cyclotomic import factor_xm_minus_1
-from .errors import BudgetError
+from .errors import BudgetError, InternalCheckError
 from .intfactor import FactorCache, FactoredInt, factor_integer, is_prime
 from .polyring import FactoredPoly, FqPoly, least_irreducible
 
@@ -125,15 +135,7 @@ class FFElement:
         if k < 0:
             return self.inverse() ** (-k)
         ctx = self.ctx
-        result = None
-        base = ctx._encode(self.coeffs)
-        while k:
-            if k & 1:
-                result = base if result is None else ctx._mul_digits(result, base)
-            k >>= 1
-            if k:
-                base = ctx._mul_digits(base, base)
-        return ctx.one() if result is None else ctx._decode(result)
+        return ctx._decode(ctx._pow_digits(ctx._encode(self.coeffs), k))
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,6 +225,7 @@ class FieldContext:
             if top:
                 vpow = [fq.add(c, fq.mul(top, nl)) for c, nl in zip(vpow, neg_low)]
         self._fold = fold
+        self._one_digits = self._encode((1,) + (0,) * (n - 1))
 
     def _encode(self, coeffs: tuple[int, ...]) -> np.ndarray:
         return self.fq.code_slots(coeffs, self._kdtype).reshape(-1)[: self._kwidth]
@@ -234,6 +237,20 @@ class FieldContext:
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (np.convolve(a, b) % self.p) @ self._fold % self.p
+
+    def _pow_digits(self, a: np.ndarray, k: int) -> np.ndarray:
+        """a^k (k >= 0) by right-to-left square-and-multiply on digit arrays."""
+        result = None
+        while k:
+            if k & 1:
+                result = a if result is None else self._mul_digits(result, a)
+            k >>= 1
+            if k:
+                a = self._mul_digits(a, a)
+        return self._one_digits if result is None else result
+
+    def _is_one_digits(self, a: np.ndarray) -> bool:
+        return np.array_equal(a, self._one_digits)
 
     # -- element construction ----------------------------------------------
 
@@ -435,38 +452,79 @@ def in_subfield(ctx: FieldContext, a: FFElement, m: int) -> bool:
     return frobenius(ctx, a, m) == a
 
 
+def _order_tree(ctx: FieldContext, b: np.ndarray, parts: list[int]):
+    """The leaves of the product tree of cofactor exponents, depth first.
+
+    b holds the digits of a^(N/P), N = q^n - 1 and P the product of parts,
+    pairwise coprime divisors of N.  Yields (r, digits of a^(N/r)) for
+    every part r, in the order of parts: a node splits its parts into A,
+    the fewest leading parts that hold at least half the bits of their
+    product, and B, the rest; it descends into A with b^(prod B), then
+    into B with b^(prod A).  Each level above a leaf costs about the bits
+    of the leaf's siblings there, so a split by bits rather than by count
+    keeps the large parts near the root.  A node whose value is one
+    yields every part under it with that value, as each of their leaves
+    is a power of it.  (Bernstein, "Fast multiplication and its
+    applications", 2008; von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 10.)
+    """
+    if len(parts) == 1 or ctx._is_one_digits(b):
+        for r in parts:
+            yield r, b
+        return
+    total = sum(r.bit_length() for r in parts)
+    half, bits = 1, parts[0].bit_length()
+    while half < len(parts) - 1 and 2 * bits < total:
+        bits += parts[half].bit_length()
+        half += 1
+    low, high = parts[:half], parts[half:]
+    yield from _order_tree(ctx, ctx._pow_digits(b, math.prod(high)), low)
+    yield from _order_tree(ctx, ctx._pow_digits(b, math.prod(low)), high)
+
+
 def multiplicative_order(ctx: FieldContext, a: FFElement, cache: FactorCache | None = None) -> int:
-    """Least t >= 1 with a^t = 1, by peeling primes of q^n - 1."""
+    """Least t >= 1 with a^t = 1: for each prime power r^m exactly dividing
+    q^n - 1, the least r^j with (a^(N/r^m))^(r^j) = 1, from one tree."""
     if a.is_zero():
         raise ValueError("zero has no multiplicative order")
     fi = ctx.qn_minus_1(cache=cache)
-    t = fi.value
-    one = ctx.one()
-    for r, _ in fi.factors:
-        while t % r == 0 and a ** (t // r) == one:
-            t //= r
+    factor_of = {r**m: (r, m) for r, m in fi.factors}
+    t = 1
+    for part, c in _order_tree(ctx, ctx._encode(a.coeffs), list(factor_of)):
+        r, m = factor_of[part]
+        j = 0
+        while not ctx._is_one_digits(c):  # c = a^(N/r^m), so c^(r^m) = a^N = 1
+            if j == m:
+                raise InternalCheckError(f"a^(N/{r}^{m}) raised to {r}^{m} is not one")
+            c = ctx._pow_digits(c, r)
+            j += 1
+        t *= r**j
     return t
 
 
 def is_primitive(ctx: FieldContext, a: FFElement, cache: FactorCache | None = None) -> bool:
-    """Whether a generates the multiplicative group (false for zero)."""
+    """Whether a generates the multiplicative group (false for zero): no
+    leaf a^(N/r), r a prime dividing N = q^n - 1, is one.  The tree starts
+    at a^(N/rad N), takes the primes in increasing order and stops at the
+    first node that is one.  With no primes (q^n = 2) every nonzero a is
+    primitive."""
     if a.is_zero():
         return False
     fi = ctx.qn_minus_1(cache=cache)
-    one = ctx.one()
-    return all(a ** (fi.value // r) != one for r, _ in fi.factors)
+    primes = list(fi.primes)
+    root = ctx._pow_digits(ctx._encode(a.coeffs), fi.value // math.prod(primes))
+    return not any(ctx._is_one_digits(c) for _, c in _order_tree(ctx, root, primes))
 
 
 def find_primitive(ctx: FieldContext, seed: int | None = None, cache: FactorCache | None = None) -> FFElement:
     """A primitive element: index-order scan, or seeded sampling if seed given."""
     if seed is None:
         # for n > 1 the indices below q are F_q scalars, of order dividing q - 1
-        i = ctx.q if ctx.n > 1 else 1
-        while True:
+        for i in range(ctx.q if ctx.n > 1 else 1, ctx.order):
             a = ctx.from_index(i)
             if is_primitive(ctx, a, cache=cache):
                 return a
-            i += 1
+        raise InternalCheckError(f"no primitive element in F_{ctx.q}^{ctx.n}")
     rng = random.Random(seed)
     while True:
         a = ctx.random_element(rng)

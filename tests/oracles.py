@@ -5,7 +5,8 @@ avoids the production code paths it is used to check: products,
 remainders and powers of F_q[x] coefficient lists by schoolbook loops in
 FqField scalar arithmetic (no digit layout, no packed integers),
 factorization by trial division, irreducibility by trial division with
-list arithmetic, orders by successive powering, normality by Gaussian
+list arithmetic, orders by successive products or by one FFElement power
+per prime of q^n - 1 (no shared exponent tree), normality by Gaussian
 elimination on the conjugate matrix, minimal annihilators by scanning
 divisors in order, polynomial values from log/exp tables built by
 successive products, and a generic distinct-degree/equal-degree
@@ -16,6 +17,7 @@ school_powmod and a list gcd, not through FqPoly arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -143,6 +145,28 @@ def slow_multiplicative_order(ctx: FieldContext, a: FFElement) -> int:
     while b != one:
         b = b * a
         t += 1
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def _group_factors(order: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(trial_division(order - 1).items()))
+
+
+def per_prime_is_primitive(ctx: FieldContext, a: FFElement) -> bool:
+    """a^(N/r) != 1 for every prime r | N = q^n - 1, each a power of its
+    own, with N factored by trial division."""
+    N = ctx.order - 1
+    return not a.is_zero() and all(a ** (N // r) != ctx.one() for r, _ in _group_factors(ctx.order))
+
+
+def peeled_order(ctx: FieldContext, a: FFElement) -> int:
+    """Least t with a^t = 1: starting from t = N, divide t by each prime r
+    of N while a^(t/r) = 1, each test a power of its own."""
+    t = ctx.order - 1
+    for r, _ in _group_factors(ctx.order):
+        while t % r == 0 and a ** (t // r) == ctx.one():
+            t //= r
     return t
 
 

@@ -1,10 +1,12 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
+from knormal import ff
 from knormal.basefield import FqField
-from knormal.errors import BudgetError
+from knormal.errors import BudgetError, InternalCheckError
 from knormal.ff import (
     build_field,
     exact_dtype,
@@ -18,7 +20,16 @@ from knormal.ff import (
 )
 from knormal.polyring import FqPoly, format_poly, is_irreducible
 
-from oracles import direct_trace, school_divmod, school_mul, school_powmod, slow_multiplicative_order
+from oracles import (
+    direct_trace,
+    peeled_order,
+    per_prime_is_primitive,
+    school_divmod,
+    school_mul,
+    school_powmod,
+    slow_multiplicative_order,
+    trial_division,
+)
 
 
 def test_build_field_deterministic_and_shared():
@@ -274,6 +285,49 @@ def test_primitive_count_is_phi(p, e, n):
     ctx = build_field(p, e, n)
     expected = ctx.qn_minus_1().phi()
     assert sum(1 for a in ctx.elements() if is_primitive(ctx, a)) == expected
+
+
+# q^n - 1 = 1 (no primes), 4095 = 3^2 * 5 * 7 * 13 (a repeated prime),
+# 80 = 2^4 * 5, 48, 63 and an n = 1 field
+@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (2, 1, 12), (3, 1, 4), (7, 1, 2), (2, 2, 3), (13, 1, 1)])
+def test_order_tree_on_whole_group(p, e, n):
+    ctx = build_field(p, e, n)
+    order_oracle = slow_multiplicative_order if ctx.order <= 256 else peeled_order
+    for a in ctx.elements():
+        if a.is_zero():
+            continue
+        assert is_primitive(ctx, a) == per_prime_is_primitive(ctx, a), a
+        assert multiplicative_order(ctx, a) == order_oracle(ctx, a), a
+
+
+@pytest.mark.parametrize("p,e,n", [(2**61 - 1, 1, 2), (2**31 - 1, 1, 4), (2**31 - 1, 2, 2)])
+def test_order_tree_large_characteristic(p, e, n):
+    ctx = build_field(p, e, n)
+    N = ctx.order - 1
+    rng = random.Random(21)
+    sample = [ctx.random_element(rng) for _ in range(20)]
+    start = time.perf_counter()
+    g = find_primitive(ctx)
+    assert is_primitive(ctx, g)
+    assert multiplicative_order(ctx, g) == N
+    for r in trial_division(N):
+        assert multiplicative_order(ctx, g**r) == N // r
+    verdicts = [is_primitive(ctx, a) for a in sample]
+    assert time.perf_counter() - start < 1.0
+    assert verdicts == [per_prime_is_primitive(ctx, a) for a in sample]
+
+
+def test_order_loops_end_on_a_broken_tree(monkeypatch):
+    # a tree whose leaves keep a itself, not a^(N/r^m), and a primitivity
+    # test that rejects everything: both must raise, not loop
+    ctx = build_field(2, 1, 4)
+    g = find_primitive(ctx)
+    monkeypatch.setattr(ff, "_order_tree", lambda ctx, b, parts: ((r, b) for r in parts))
+    with pytest.raises(InternalCheckError):
+        multiplicative_order(ctx, g)
+    monkeypatch.setattr(ff, "is_primitive", lambda *args, **kwargs: False)
+    with pytest.raises(InternalCheckError):
+        find_primitive(ctx)
 
 
 def test_find_primitive_deterministic():
